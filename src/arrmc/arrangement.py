@@ -102,17 +102,8 @@ class Arrangement:
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
-    def by_label(self, label: str) -> Hyperplane:
-        for h in self.hyperplanes:
-            if h.label == label:
-                return h
-        raise InputError(f"no hyperplane labeled {label!r}")
-
     def labels(self) -> tuple[str, ...]:
         return tuple(h.label for h in self.hyperplanes)
-
-    def sorted_hyperplanes(self) -> list[Hyperplane]:
-        return sorted(self.hyperplanes, key=Hyperplane.sort_key)
 
     def canonical_set(self) -> frozenset[tuple[Vector, Fraction]]:
         return frozenset((h.coeffs, h.constant) for h in self.hyperplanes)
@@ -164,9 +155,6 @@ class Flat:
             return nullspace((), self.ambient_dim)
         return nullspace(self.coefficient_rows())
 
-    def contains_point(self, p: Vector) -> bool:
-        return all(dot(r[:-1], p) == r[-1] for r in self.rows)
-
     def contains_flat(self, other: "Flat") -> bool:
         """True iff ``other`` is a subset of this flat (both nonempty)."""
         if not self.rows:
@@ -213,10 +201,6 @@ class IntersectionPoset:
         if rank < 0 or rank >= len(self.by_rank):
             return ()
         return self.by_rank[rank]
-
-    def contains(self, flat: Flat) -> bool:
-        r = flat.rank
-        return r < len(self.by_rank) and flat in set(self.by_rank[r])
 
     def rank_two(self) -> tuple[Flat, ...]:
         return self.flats(2)

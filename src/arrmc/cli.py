@@ -294,7 +294,7 @@ def _cmd_rh_verify(job: JobSpec):
     if not compat.ok:
         return 1, report
 
-    forward = middle_convolve(sys_, y, lam)
+    forward = compat.mc_system
     back = middle_convolve(forward, y, lam.negated())
     iso, intertwiner = is_isomorphic(back, sys_)
     stages["round_trip_ok"] = iso

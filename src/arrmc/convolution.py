@@ -34,16 +34,13 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
-    extend_to_basis,
     find_invertible_combination,
-    from_columns,
     identity,
     intertwiner_space,
     mat_add,
-    mat_inverse,
-    mat_mul,
     mat_scale,
     nullspace,
+    quotient,
     rank,
 )
 from .pfaffian import (
@@ -248,23 +245,12 @@ def middle_convolve(
     standard basis vectors chosen greedily in index order.
     """
     cr = convolve(sys, y, lam, require_good=require_good)
-    big = cr.system.dim_e
+    res, big = cr.system.residues, cr.system.dim_e
     kl = list(cr.block_kernel_basis) + list(cr.diagonal_kernel_basis)
-    comp = extend_to_basis(kl, big)
-    std = identity(big)
-    p_cols = kl + [std[j] for j in comp]
-    p = from_columns(p_cols, big)
-    p_inv = mat_inverse(p)
-    cut = len(kl)
-    quotient_res = {}
-    for lbl, m in cr.system.residues.items():
-        q = mat_mul(p_inv, mat_mul(m, p))
-        for i in range(cut, big):
-            for j in range(cut):
-                if q[i][j] != 0:
-                    raise InternalError("kernel span is not invariant; quotient ill-defined")
-        quotient_res[lbl] = tuple(r[cut:] for r in q[cut:])
-    return PfaffianSystem.make(cr.system.arrangement, big - cut, quotient_res, check=True)
+    mats = quotient(list(res.values()), kl, big)
+    return PfaffianSystem.make(
+        cr.system.arrangement, big - len(kl), dict(zip(res, mats)), check=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +278,8 @@ def is_isomorphic(
         (s1.residues[h.label], by_key2[(h.coeffs, h.constant)])
         for h in s1.arrangement.hyperplanes
     ]
-    space = intertwiner_space(pairs, d)
-    if not space:
-        return False, None
-    s = find_invertible_combination(space, d)
-    if s is None:
-        return False, None
-    return True, s
+    s = find_invertible_combination(intertwiner_space(pairs, d), d)
+    return s is not None, s
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InputError,
-    InternalError,
     SingularInput,
+    ToleranceNotMet,
     TrivialCharacter,
 )
 from . import linalg as la
@@ -250,10 +250,8 @@ def multiplicative_kernels(
                 for i, x in enumerate(v):
                     col[k * r + i] = x
                 k_cols.append(tuple(col))
-        stacked = tuple(
-            row for b in conv.matrices for row in la.mat_sub(b, la.identity(big))
-        )
-        l_cols = la.nullspace(stacked, big)
+        eye = la.identity(big)
+        l_cols = la.joint_kernel([la.mat_sub(b, eye) for b in conv.matrices], big)
         return tuple(k_cols), tuple(l_cols), conv
     k_blocks = []
     for k in range(n):
@@ -281,26 +279,14 @@ def multiplicative_middle_convolution(
     big = n * t.rank
     if conv.exact:
         joint = list(k_cols) + list(l_cols)
-        if joint and la.rank(tuple(joint)) != len(joint):
-            raise InternalError("fixed spaces intersect nontrivially")
-        comp = la.extend_to_basis(joint, big)
-        std = la.identity(big)
-        p = la.from_columns(joint + [std[j] for j in comp], big)
-        p_inv = la.mat_inverse(p)
-        cut = len(joint)
-        out = []
-        for b in conv.matrices:
-            q = la.mat_mul(p_inv, la.mat_mul(b, p))
-            for i in range(cut, big):
-                for j in range(cut):
-                    if q[i][j] != 0:
-                        raise InternalError("fixed spaces are not invariant")
-            out.append(tuple(row[cut:] for row in q[cut:]))
-        return MonodromyTuple(big - cut, tuple(out), True, t.labels)
+        out = la.quotient(list(conv.matrices), joint, big)
+        return MonodromyTuple(big - len(joint), tuple(out), True, t.labels)
     joint = np.hstack([k_cols, l_cols])
     jr = _numeric_rank(joint, tol)
     if jr != joint.shape[1]:
-        raise InternalError("fixed spaces intersect nontrivially")
+        raise ToleranceNotMet(
+            f"numeric fixed spaces intersect nontrivially at rank threshold {tol:g}"
+        )
     cur = joint
     comp = []
     for j in range(big):
@@ -314,7 +300,9 @@ def multiplicative_middle_convolution(
             comp.append(j)
     p = cur
     if p.shape[1] != big:
-        raise InternalError("could not complete fixed spaces to a basis")
+        raise ToleranceNotMet(
+            f"could not complete the numeric fixed spaces to a basis at rank threshold {tol:g}"
+        )
     cut = joint.shape[1]
     p_inv = np.linalg.inv(p)
     out = []
@@ -322,8 +310,12 @@ def multiplicative_middle_convolution(
     for b in conv.matrices:
         q = p_inv @ b @ p
         lower_left = q[cut:, :cut]
-        if lower_left.size and np.max(np.abs(lower_left)) > 1e3 * tol * scale:
-            raise InternalError("fixed spaces are not numerically invariant")
+        leak = float(np.max(np.abs(lower_left))) if lower_left.size else 0.0
+        if leak > 1e3 * tol * scale:
+            raise ToleranceNotMet(
+                f"fixed spaces are not numerically invariant: lower-left block "
+                f"{leak:.2e} exceeds {1e3 * tol * scale:.2e}"
+            )
         out.append(q[cut:, cut:])
     return MonodromyTuple(big - cut, tuple(out), False, t.labels)
 
@@ -337,28 +329,6 @@ class PropertyReport:
     ok: bool
     failures: tuple[str, ...]
     warnings: tuple[str, ...] = ()
-
-
-def _exact_common_fixed(mats, r) -> list:
-    stacked = tuple(row for m in mats for row in la.mat_sub(m, la.identity(r)))
-    return la.nullspace(stacked, r)
-
-
-def _exact_pencil_condition(mats, idx, r) -> bool:
-    """No tau in C* with a nonzero vector of the joint fixed space of the
-    others killed by (M_idx - tau)."""
-    others = [m for j, m in enumerate(mats) if j != idx]
-    if others:
-        stacked = tuple(row for m in others for row in la.mat_sub(m, la.identity(r)))
-        w = la.nullspace(stacked, r)
-    else:
-        w = la.nullspace((), r)
-    if not w:
-        return True
-    b = la.transpose(tuple(w))
-    mb = la.mat_mul(mats[idx], b)
-    g = la.pencil_minor_gcd(mb, la.mat_scale(b, _F(-1)))
-    return la.poly_degree(g) == 0
 
 
 def _numeric_common_fixed(mats, r, tol) -> np.ndarray:
@@ -402,16 +372,19 @@ def check_property_p(t: MonodromyTuple, tol: float = 1e-9) -> PropertyReport:
     failures: list[str] = []
     warnings: list[str] = []
     if t.exact:
-        mats = list(t.matrices)
-        mats_t = [la.transpose(m) for m in mats]
-        if _exact_common_fixed(mats, r):
+        # (M - 1) v = -t v iff M v = (1 - t) v: the pencil test on M - 1
+        # is the eigenvector condition on M
+        eye = la.identity(r)
+        shifted = [la.mat_sub(m, eye) for m in t.matrices]
+        shifted_t = [la.transpose(m) for m in shifted]
+        if la.joint_kernel(shifted, r):
             failures.append("common fixed vector")
-        if _exact_common_fixed(mats_t, r):
+        if la.joint_kernel(shifted_t, r):
             failures.append("common fixed covector")
         for k in range(n):
-            if not _exact_pencil_condition(mats, k, r):
+            if not la.kernel_pencil_ok(shifted, k, r):
                 failures.append(f"kernel condition at puncture {k}")
-            if not _exact_pencil_condition(mats_t, k, r):
+            if not la.kernel_pencil_ok(shifted_t, k, r):
                 failures.append(f"image condition at puncture {k}")
         return PropertyReport(not failures, tuple(failures), tuple(warnings))
     mats = [np.asarray(m) for m in t.matrices]
@@ -473,11 +446,8 @@ def tuple_isomorphism(
         return True, np.zeros((0, 0), dtype=complex)
     if t1.exact and t2.exact:
         pairs = list(zip(t1.matrices, t2.matrices))
-        space = la.intertwiner_space(pairs, r)
-        if not space:
-            return False, None
-        s = la.find_invertible_combination(space, r)
-        return (s is not None), s
+        s = la.find_invertible_combination(la.intertwiner_space(pairs, r), r)
+        return s is not None, s
     a = t1.to_numeric().matrices
     b = t2.to_numeric().matrices
     if not invariants_match(t1, t2, tol):

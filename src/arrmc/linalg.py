@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
+from .errors import InternalError
+
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 Poly = tuple[Fraction, ...]
@@ -83,33 +85,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i, j) equals ``a[i][j] * b``."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(ca) for l in range(cb))
-        for i in range(ra)
-        for k in range(rb)
-    )
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def columns(m: Matrix) -> list[Vector]:
-    return list(transpose(m))
 
 
 def from_columns(cols, nrows: int | None = None) -> Matrix:
@@ -353,6 +328,21 @@ def pencil_minor_gcd(c: Matrix, d: Matrix) -> Poly:
     return g
 
 
+def joint_kernel(mats: list[Matrix], dim: int) -> list[Vector]:
+    """Canonical basis of the common kernel of matrices with ``dim`` columns."""
+    return nullspace(tuple(r for m in mats for r in m), dim)
+
+
+def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
+    """True iff no complex t admits a nonzero v with mats[idx] v = -t v
+    inside the joint kernel of the other matrices."""
+    w_basis = joint_kernel([m for j, m in enumerate(mats) if j != idx], dim)
+    if not w_basis:
+        return True
+    b = transpose(tuple(w_basis))
+    return poly_degree(pencil_minor_gcd(mat_mul(mats[idx], b), b)) == 0
+
+
 # ---------------------------------------------------------------------------
 # integer eigenvalue detection
 
@@ -430,13 +420,16 @@ def in_span(v: Vector, cols: list[Vector]) -> bool:
 
 
 def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors completing ``cols`` to a basis.
+    """Indices of standard basis vectors completing the independent
+    ``cols`` to a basis.
 
     Greedy in index order; deterministic.
     """
     chosen: list[int] = []
     current = list(cols)
     r = column_space_rank(current)
+    if r != len(current):
+        raise InternalError("columns are linearly dependent")
     for j in range(dim):
         if r == dim:
             break
@@ -447,9 +440,28 @@ def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
             chosen.append(j)
             current = cand
             r = rr
-    if r != dim:
-        raise ValueError("could not complete to a basis")
     return chosen
+
+
+def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
+    """Action of each dim x dim matrix on C^dim / span(cols).
+
+    The quotient is presented on the complement spanned by the standard
+    basis vectors that ``extend_to_basis`` chooses.  Raises InternalError
+    when ``cols`` are dependent or their span is not invariant.
+    """
+    comp = extend_to_basis(cols, dim)
+    std = identity(dim)
+    p = from_columns(list(cols) + [std[j] for j in comp], dim)
+    p_inv = mat_inverse(p)
+    cut = len(cols)
+    out = []
+    for m in mats:
+        q = mat_mul(p_inv, mat_mul(m, p))
+        if any(q[i][j] != 0 for i in range(cut, dim) for j in range(cut)):
+            raise InternalError("span is not invariant; quotient ill-defined")
+        out.append(tuple(r[cut:] for r in q[cut:]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ class CompatibilityReport:
 
     ``multiplicative`` is the middle convolution of the fiber tuple of the
     input system; ``restricted`` is the fiber tuple of the middle-convolved
-    system.  They must be isomorphic as tuples.
+    system ``mc_system``.  They must be isomorphic as tuples.
     """
 
     base: tuple
@@ -183,6 +183,7 @@ class CompatibilityReport:
     generator_charpolys: dict
     product_residuals: tuple[float, float]
     kernel_dims: tuple[int, int]
+    mc_system: PfaffianSystem
     warnings: tuple[str, ...] = ()
 
     @property
@@ -249,34 +250,21 @@ def verify_mc_compatibility(
     ext1 = monodromy_tuple_of_system(mc_sys, y, base, tol)
     t_restr = ext1.monodromy
 
-    warnings = []
+    warnings: tuple[str, ...] = ()
+    table, dev, iso, residual = {}, math.inf, False, None
     if t_mult.rank != t_restr.rank:
-        warnings.append(
-            f"rank mismatch: multiplicative {t_mult.rank} vs restricted {t_restr.rank}"
+        warnings = (
+            f"rank mismatch: multiplicative {t_mult.rank} vs restricted {t_restr.rank}",
         )
-        return CompatibilityReport(
-            base=tuple(str(b) for b in (base if isinstance(base, (list, tuple)) else [base])),
-            n=ext0.monodromy.npoints,
-            rank_multiplicative=t_mult.rank,
-            rank_restricted=t_restr.rank,
-            charpoly_deviation=math.inf,
-            isomorphic=False,
-            intertwiner_residual=None,
-            generator_charpolys={},
-            product_residuals=(ext0.product_residual, ext1.product_residual),
-            kernel_dims=(kdim, ldim),
-            warnings=tuple(warnings),
-        )
-
-    table, dev = _charpoly_table(t_mult, t_restr)
-    iso, s = tuple_isomorphism(t_mult, t_restr, iso_tol)
-    residual = None
-    if iso and s is not None and t_mult.rank:
-        scale = max(1.0, float(np.max(np.abs(s))))
-        residual = max(
-            float(np.max(np.abs(s @ np.asarray(m1) - np.asarray(m2) @ s))) / scale
-            for m1, m2 in zip(t_mult.matrices, t_restr.matrices)
-        )
+    else:
+        table, dev = _charpoly_table(t_mult, t_restr)
+        iso, s = tuple_isomorphism(t_mult, t_restr, iso_tol)
+        if iso and s is not None and t_mult.rank:
+            scale = max(1.0, float(np.max(np.abs(s))))
+            residual = max(
+                float(np.max(np.abs(s @ np.asarray(m1) - np.asarray(m2) @ s))) / scale
+                for m1, m2 in zip(t_mult.matrices, t_restr.matrices)
+            )
     return CompatibilityReport(
         base=tuple(str(b) for b in (base if isinstance(base, (list, tuple)) else [base])),
         n=ext0.monodromy.npoints,
@@ -288,5 +276,6 @@ def verify_mc_compatibility(
         generator_charpolys=table,
         product_residuals=(ext0.product_residual, ext1.product_residual),
         kernel_dims=(kdim, ldim),
-        warnings=tuple(warnings),
+        mc_system=mc_sys,
+        warnings=warnings,
     )

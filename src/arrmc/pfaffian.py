@@ -32,12 +32,10 @@ from .linalg import (
     identity,
     integer_eigenvalues,
     is_zero_matrix,
+    kernel_pencil_ok,
     mat,
     mat_add,
     mat_scale,
-    nullspace,
-    pencil_minor_gcd,
-    poly_degree,
     shape,
     transpose,
 )
@@ -91,9 +89,6 @@ class PfaffianSystem:
                     f"integrability fails at flat of rank two (hyperplane {rep.witness[1]})"
                 )
         return sys
-
-    def residue(self, label: str) -> Matrix:
-        return self.residues[label]
 
     def transverse_residues(self, y: LineDirection) -> list[tuple[str, Matrix]]:
         """(label, residue) for hyperplanes not parallel to y, in label order
@@ -172,27 +167,6 @@ class StarReport:
     failures: tuple[tuple[str, str], ...]  # (condition, hyperplane label)
 
 
-def _kernel_pencil_ok(residues: list[tuple[str, Matrix]], idx: int, dim: int) -> bool:
-    """True iff no complex t admits a nonzero v with A_idx v = -t v inside
-    the joint kernel of the other residues."""
-    others = [m for j, (_, m) in enumerate(residues) if j != idx]
-    if others:
-        stacked = tuple(r for m in others for r in m)
-        w_basis = nullspace(stacked, dim)
-    else:
-        w_basis = nullspace((), dim)
-    if not w_basis:
-        return True
-    b = transpose(tuple(w_basis))
-    a_h = residues[idx][1]
-    c = tuple(
-        tuple(sum((a_h[i][k] * b[k][j] for k in range(dim)), Fraction(0)) for j in range(len(w_basis)))
-        for i in range(dim)
-    )
-    g = pencil_minor_gcd(c, b)
-    return poly_degree(g) == 0
-
-
 def check_star_conditions(sys: PfaffianSystem, y: LineDirection) -> StarReport:
     """Kernel and image genericity for every transverse hyperplane.
 
@@ -200,12 +174,13 @@ def check_star_conditions(sys: PfaffianSystem, y: LineDirection) -> StarReport:
     condition is the same test applied to the transposed system.
     """
     res = sys.transverse_residues(y)
-    res_t = [(lbl, transpose(m)) for lbl, m in res]
+    mats = [m for _, m in res]
+    mats_t = [transpose(m) for m in mats]
     failures: list[tuple[str, str]] = []
     for i, (lbl, _) in enumerate(res):
-        if not _kernel_pencil_ok(res, i, sys.dim_e):
+        if not kernel_pencil_ok(mats, i, sys.dim_e):
             failures.append(("kernel", lbl))
-        if not _kernel_pencil_ok(res_t, i, sys.dim_e):
+        if not kernel_pencil_ok(mats_t, i, sys.dim_e):
             failures.append(("image", lbl))
     return StarReport(not failures, tuple(failures))
 

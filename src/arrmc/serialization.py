@@ -16,7 +16,7 @@ from .arrangement import Arrangement, Hyperplane, LineDirection
 from .errors import InputError
 from .katz import CharacterValue, MonodromyTuple
 from .linalg import Matrix, frac
-from .pfaffian import ConvolutionParameter, PfaffianSystem
+from .pfaffian import PfaffianSystem
 
 SCHEMA = 1
 
@@ -173,10 +173,6 @@ def character_to_json(c: CharacterValue) -> dict:
     if c.scalar is not None:
         return {"schema": SCHEMA, "scalar": rational_str(c.scalar)}
     return {"schema": SCHEMA, "lambda": rational_str(c.exponent)}
-
-
-def parameter_from_string(s: str) -> ConvolutionParameter:
-    return ConvolutionParameter.make(_parse_rational(s))
 
 
 def dumps(obj: dict) -> str:

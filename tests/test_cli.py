@@ -8,6 +8,7 @@ import pytest
 from arrmc import serialization as ser
 from arrmc.cli import main
 from arrmc.katz import MonodromyTuple
+from arrmc.linalg import mat
 
 from conftest import four_lines, four_lines_system, kz_system
 
@@ -268,6 +269,25 @@ def test_cli_numeric_failure_exit_code(capsys):
         "1e-30",
     )
     assert code == 3 and "error" in rep
+
+
+def test_cli_numeric_katz_failure_exit_code(capsys, tmp_path):
+    # the numeric multiplicative middle convolution of this fiber tuple
+    # cannot certify its quotient; that is a numeric failure, not bad input
+    from conftest import line_system
+
+    residues = [
+        [["1/2", 0, "1/2"], ["-2/9", "1/3", "1/2"], ["1/2", "-1/3", "-1/3"]],
+        [["-2/7", "-3/8", "3/4"], ["1/7", 0, "-1/6"], [0, "1/3", "2/7"]],
+        [["-2/9", "3/5", 0], ["-3/2", "-1/2", "-1/3"], ["1/7", "3/5", "-1/9"]],
+        [[0, "-3/7", "3/4"], ["3/5", 0, "-3/2"], [0, 1, "1/3"]],
+    ]
+    sys = line_system([0, 1, 2, 3], [mat(m) for m in residues])
+    path = tmp_path / "line_system.json"
+    path.write_text(ser.dumps(ser.system_to_json(sys)))
+    code, rep = run_cli(capsys, "rh-verify", str(path), "--line=1", "--lambda=1/5", "--base=")
+    assert code == 3
+    assert "numerically invariant" in rep["error"]
 
 
 def test_cli_check_unchecked_reports_nonintegrable(capsys, tmp_path):

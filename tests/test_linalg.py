@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from arrmc.errors import InternalError
 from arrmc.linalg import (
     charpoly,
     det,
@@ -18,6 +21,7 @@ from arrmc.linalg import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    quotient,
     rank,
     rref,
 )
@@ -184,3 +188,16 @@ def test_find_invertible_none_for_degenerate_span():
     # span of a single nilpotent matrix has no invertible element
     n = mat([[0, 1], [0, 0]])
     assert find_invertible_combination([n], 2) is None
+
+
+def test_quotient_refuses_non_invariant_span():
+    # e1 is an eigenvector of the upper triangular matrix, e2 is not
+    m = mat([[1, 1], [0, 2]])
+    assert quotient([m], [(F(1), F(0))], 2) == [mat([[2]])]
+    with pytest.raises(InternalError, match="not invariant"):
+        quotient([m], [(F(0), F(1))], 2)
+
+
+def test_quotient_refuses_dependent_columns():
+    with pytest.raises(InternalError, match="dependent"):
+        quotient([identity(2)], [(F(1), F(2)), (F(2), F(4))], 2)
