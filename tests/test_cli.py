@@ -8,7 +8,6 @@ import pytest
 from arrmc import serialization as ser
 from arrmc.cli import main
 from arrmc.katz import MonodromyTuple
-from arrmc.linalg import mat
 
 from conftest import four_lines, four_lines_system, kz_system
 
@@ -282,7 +281,7 @@ def test_cli_numeric_katz_failure_exit_code(capsys, tmp_path):
         [["-2/9", "3/5", 0], ["-3/2", "-1/2", "-1/3"], ["1/7", "3/5", "-1/9"]],
         [[0, "-3/7", "3/4"], ["3/5", 0, "-3/2"], [0, 1, "1/3"]],
     ]
-    sys = line_system([0, 1, 2, 3], [mat(m) for m in residues])
+    sys = line_system([0, 1, 2, 3], residues)
     path = tmp_path / "line_system.json"
     path.write_text(ser.dumps(ser.system_to_json(sys)))
     code, rep = run_cli(capsys, "rh-verify", str(path), "--line=1", "--lambda=1/5", "--base=")
