@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, InternalError
 from .linalg import (
     Matrix,
     Vector,
     dot,
+    extend_to_basis,
     frac,
     from_columns,
+    identity,
     nullspace,
     rank,
     rref,
@@ -116,6 +119,11 @@ class Arrangement:
 
     def is_central(self) -> bool:
         return all(h.constant == 0 for h in self.hyperplanes)
+
+    @cached_property
+    def poset(self) -> IntersectionPoset:
+        """The intersection poset, built on first use and kept."""
+        return build_intersection_poset(self)
 
 
 @dataclass(frozen=True)
@@ -274,14 +282,11 @@ def shift_flat_along(flat: Flat, y: LineDirection) -> Flat:
     return shifted
 
 
-def is_good_line(
-    arr: Arrangement, y: LineDirection, poset: IntersectionPoset | None = None
-) -> tuple[bool, Flat | None]:
+def is_good_line(arr: Arrangement, y: LineDirection) -> tuple[bool, Flat | None]:
     """Check X + Y in L(arr) for every rank-two flat X; witness on failure."""
     if y.dim != arr.ambient_dim:
         raise InputError("line direction dimension mismatch")
-    if poset is None:
-        poset = build_intersection_poset(arr)
+    poset = arr.poset
     members = {f.rows for f in poset.flats()}
     for x in poset.rank_two():
         shifted = shift_flat_along(x, y)
@@ -308,8 +313,7 @@ def shifted_family(arr: Arrangement, y: LineDirection) -> list[Hyperplane]:
     _, rest = parallel_subarrangement(arr, y)
     if len(rest) < 2:
         return []
-    sub = Arrangement.make(arr.ambient_dim, rest)
-    poset = build_intersection_poset(sub)
+    poset = Arrangement.make(arr.ambient_dim, rest).poset
     found: dict[tuple[Vector, Fraction], Hyperplane] = {}
     existing = {(h.coeffs, h.constant): h for h in arr.hyperplanes}
     counter = 0
@@ -376,18 +380,9 @@ def transverse_basis(y: LineDirection) -> Matrix:
     Columns are chosen greedily in index order, so the change of coordinates
     u -> B u sending the last axis to the line direction is deterministic.
     """
-    l = y.dim
-    chosen: list[Vector] = []
-    for j in range(l):
-        if len(chosen) == l - 1:
-            break
-        e = tuple(Fraction(1 if i == j else 0) for i in range(l))
-        cand = tuple(chosen) + (e, y.direction)
-        if rank(cand) == len(chosen) + 2:
-            chosen.append(e)
-    if len(chosen) != l - 1:
-        raise InternalError("could not extend the line direction to a basis")
-    return from_columns(chosen + [y.direction], l)
+    std = identity(y.dim)
+    chosen = [std[j] for j in extend_to_basis([y.direction], y.dim)]
+    return from_columns(chosen + [y.direction], y.dim)
 
 
 @dataclass(frozen=True)
@@ -498,7 +493,7 @@ def goodness_fiber_oracle(
     if l >= 2 and len(rest) >= 2:
         sub = Arrangement.make(l, rest)
         basis = transverse_basis(y)
-        for x in build_intersection_poset(sub).rank_two():
+        for x in sub.poset.rank_two():
             p = x.point()
             dirs = x.directions()
             binv = _solve_coordinates(basis, p)

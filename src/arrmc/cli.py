@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .arrangement import (
     Flat,
     LineDirection,
-    build_intersection_poset,
     cone,
     decone,
     goodness_fiber_oracle,
@@ -83,7 +82,7 @@ def _load_system(path: str, params: dict):
 
 def _cmd_poset(job: JobSpec):
     arr = ser.arrangement_from_json(ser.load_path(job.inputs[0]))
-    poset = build_intersection_poset(arr)
+    poset = arr.poset
     report = {
         "command": "poset",
         "dim": arr.ambient_dim,

@@ -38,10 +38,13 @@ from .linalg import (
     identity,
     intertwiner_space,
     mat_add,
+    mat_mul,
     mat_scale,
     nullspace,
     quotient,
     rank,
+    rref,
+    transpose,
 )
 from .pfaffian import (
     ConvolutionParameter,
@@ -219,17 +222,17 @@ def convolve(
 
 
 def _assert_invariant(sys: PfaffianSystem, cols: tuple[Vector, ...], name: str) -> None:
+    """Each residue maps span(cols) into itself: every image, reduced
+    against the echelon form of ``cols``, vanishes in the free columns."""
     if not cols:
         return
-    base = tuple(cols)
-    r = rank(base)
+    red, pivots = rref(cols)
+    free = [j for j in range(len(cols[0])) if j not in pivots]
+    basis = transpose(cols)
     for m in sys.residues.values():
-        for v in cols:
-            image = tuple(
-                sum((m[i][j] * v[j] for j in range(len(v))), Fraction(0))
-                for i in range(len(v))
-            )
-            if rank(base + (image,)) != r:
+        for image in transpose(mat_mul(m, basis)):
+            terms = [(image[p], row) for p, row in zip(pivots, red) if image[p]]
+            if any(image[j] != sum((c * row[j] for c, row in terms), Fraction(0)) for j in free):
                 raise InternalError(f"{name} is not invariant under a residue")
 
 

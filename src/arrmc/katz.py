@@ -272,11 +272,16 @@ def multiplicative_middle_convolution(
 
     Output rank is n*rank - dim(blockwise fixed) - dim(common fixed).
     """
-    n = t.npoints
-    if n == 0:
+    return quotient_by_fixed_spaces(t, multiplicative_kernels(t, c, tol), tol)
+
+
+def quotient_by_fixed_spaces(t: MonodromyTuple, kernels, tol: float = 1e-9) -> MonodromyTuple:
+    """The quotient step of the middle convolution, given the result of
+    ``multiplicative_kernels`` for ``t``."""
+    if t.npoints == 0:
         return t
-    k_cols, l_cols, conv = multiplicative_kernels(t, c, tol)
-    big = n * t.rank
+    k_cols, l_cols, conv = kernels
+    big = t.npoints * t.rank
     if conv.exact:
         joint = list(k_cols) + list(l_cols)
         out = la.quotient(list(conv.matrices), joint, big)

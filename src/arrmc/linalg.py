@@ -72,11 +72,19 @@ def mat_scale(a: Matrix, s: Fraction) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum((x * y for x, y in zip(ra, cb)), Fraction(0)) for cb in bt)
-        for ra in a
-    )
+    """Product skipping zero entries: convolution residues and changes of
+    basis are mostly zero."""
+    ncols = len(b[0]) if b else 0
+    b_nonzero = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    out = []
+    for ra in a:
+        acc = [Fraction(0)] * ncols
+        for x, rb in zip(ra, b_nonzero):
+            if x:
+                for j, y in rb:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -124,10 +132,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         inv = 1 / rows[pr][pc]
         rows[pr] = [x * inv for x in rows[pr]]
+        support = [(j, y) for j, y in enumerate(rows[pr]) if y]
         for i in range(nr):
             if i != pr and rows[i][pc] != 0:
                 f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+                row = rows[i]
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(pc)
         pr += 1
         if pr == nr:
@@ -348,12 +359,14 @@ def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
 
 
 def _divisors_up_to(n: int, bound: int) -> list[int]:
+    """Positive divisors of n up to bound.  Trial division up to
+    min(bound, isqrt(n)) is complete: a divisor above isqrt(n) is found
+    through its cofactor, which lies below isqrt(n)."""
     n = abs(n)
     out = set()
-    for d in range(1, isqrt(n) + 1):
+    for d in range(1, min(bound, isqrt(n)) + 1):
         if n % d == 0:
-            if d <= bound:
-                out.add(d)
+            out.add(d)
             if n // d <= bound:
                 out.add(n // d)
     return sorted(out)
@@ -364,9 +377,10 @@ def integer_eigenvalues(m: Matrix) -> list[int]:
 
     Candidates are capped by the Cauchy bound 1 + max |coefficient| of the
     monic characteristic polynomial and pre-filtered by the rational root
-    theorem (integer roots divide the cleared constant term); each survivor
-    is confirmed by evaluating the characteristic polynomial, i.e. by the
-    exact singularity of m - k*Id.
+    theorem (integer roots divide the cleared constant term), searched no
+    further than the smaller of the bound and the square root of that term;
+    each survivor is confirmed by evaluating the characteristic polynomial,
+    i.e. by the exact singularity of m - k*Id.
     """
     p = charpoly(m)
     if len(p) == 1:
@@ -404,12 +418,6 @@ def _gcd_int(a: int, b: int) -> int:
 # subspace helpers (columns spanning subspaces)
 
 
-def column_space_rank(cols: list[Vector]) -> int:
-    if not cols:
-        return 0
-    return rank(tuple(cols))
-
-
 def in_span(v: Vector, cols: list[Vector]) -> bool:
     if all(x == 0 for x in v):
         return True
@@ -423,24 +431,16 @@ def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing the independent
     ``cols`` to a basis.
 
-    Greedy in index order; deterministic.
+    Greedy in index order; deterministic.  e_j is skipped exactly when it
+    lies in the span of ``cols`` and e_0, ..., e_(j-1), i.e. when coordinate
+    j raises the rank of ``cols`` restricted to coordinates j, ..., dim-1:
+    those j are the pivots of the echelon form of the reversed columns.
     """
-    chosen: list[int] = []
-    current = list(cols)
-    r = column_space_rank(current)
-    if r != len(current):
+    _, pivots = rref(tuple(tuple(reversed(c)) for c in cols))
+    if len(pivots) != len(cols):
         raise InternalError("columns are linearly dependent")
-    for j in range(dim):
-        if r == dim:
-            break
-        e = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        cand = current + [e]
-        rr = column_space_rank(cand)
-        if rr > r:
-            chosen.append(j)
-            current = cand
-            r = rr
-    return chosen
+    skipped = {dim - 1 - p for p in pivots}
+    return [j for j in range(dim) if j not in skipped]
 
 
 def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:

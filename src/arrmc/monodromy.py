@@ -22,7 +22,7 @@ from .katz import (
     CharacterValue,
     MonodromyTuple,
     multiplicative_kernels,
-    multiplicative_middle_convolution,
+    quotient_by_fixed_spaces,
     tuple_isomorphism,
     _charpoly_numeric,
 )
@@ -233,8 +233,9 @@ def verify_mc_compatibility(
 
     ext0 = monodromy_tuple_of_system(sys, y, base, tol)
     character = CharacterValue.from_exponent(lam.value)
-    t_mult = multiplicative_middle_convolution(ext0.monodromy, character, rank_tol)
-    k_cols, l_cols, _ = multiplicative_kernels(ext0.monodromy, character, rank_tol)
+    kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
+    t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
+    k_cols, l_cols, _ = kernels
     kdim = k_cols.shape[1] if hasattr(k_cols, "shape") else len(k_cols)
     ldim = l_cols.shape[1] if hasattr(l_cols, "shape") else len(l_cols)
     k_exact, l_exact = kernel_subspaces(sys, y, lam)

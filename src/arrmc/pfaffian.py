@@ -17,9 +17,7 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     Flat,
-    IntersectionPoset,
     LineDirection,
-    build_intersection_poset,
     fiber_points,
     parallel_subarrangement,
 )
@@ -111,9 +109,7 @@ class IntegrabilityReport:
     witness: tuple[Flat, str] | None = None
 
 
-def check_integrability(
-    sys: PfaffianSystem, poset: IntersectionPoset | None = None
-) -> IntegrabilityReport:
+def check_integrability(sys: PfaffianSystem) -> IntegrabilityReport:
     """Commutator test over rank-two flats.
 
     The wedge square of the coefficient form vanishes iff for every rank-two
@@ -123,9 +119,7 @@ def check_integrability(
     """
     if sys.dim_e <= 1:
         return IntegrabilityReport(True)
-    if poset is None:
-        poset = build_intersection_poset(sys.arrangement)
-    for x in poset.rank_two():
+    for x in sys.arrangement.poset.rank_two():
         labels = sorted(x.containing)
         if len(labels) < 2:
             continue

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from arrmc import (
     Arrangement,
+    ConvolutionParameter,
     Hyperplane,
     InputError,
     LineDirection,
@@ -14,9 +16,11 @@ from arrmc import (
     fiber_points,
     goodness_fiber_oracle,
     is_good_line,
+    middle_convolve,
     parallel_subarrangement,
     shifted_family,
 )
+from arrmc import arrangement, serialization
 from arrmc.linalg import mat, mat_inverse, mat_vec, rank
 
 from conftest import (
@@ -54,6 +58,30 @@ def test_poset_braid_example():
     origin = poset.by_rank[2][0]
     assert origin.containing == {"x", "y", "d"}
     assert origin.point() == (F(0), F(0))
+
+
+def test_poset_is_cached_on_the_arrangement():
+    arr = four_lines()
+    assert arr.poset is arr.poset
+    assert arr.poset == build_intersection_poset(arr)
+
+
+def test_middle_convolve_builds_each_poset_once(monkeypatch):
+    built = []
+    original = arrangement.build_intersection_poset
+
+    def counting(arr):
+        built.append(arr)
+        return original(arr)
+
+    monkeypatch.setattr(arrangement, "build_intersection_poset", counting)
+    corpus = Path(__file__).parent / "corpus" / "four_lines_system.json"
+    sys_ = serialization.system_from_json(serialization.load_path(str(corpus)))
+    out = middle_convolve(sys_, Y_AXIS, ConvolutionParameter.make(F(1, 5)))
+    # one poset for the input and one for the enlarged arrangement of the
+    # convolution, which the quotient shares
+    assert len({id(a) for a in built}) == len(built) == 2
+    assert built[0] is sys_.arrangement and built[1] is out.arrangement
 
 
 def test_poset_empty_arrangement():

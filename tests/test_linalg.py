@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from arrmc.errors import InternalError
 from arrmc.linalg import (
     charpoly,
     det,
+    extend_to_basis,
     find_invertible_combination,
     identity,
     integer_eigenvalues,
@@ -24,6 +26,7 @@ from arrmc.linalg import (
     quotient,
     rank,
     rref,
+    transpose,
 )
 
 
@@ -201,3 +204,175 @@ def test_quotient_refuses_non_invariant_span():
 def test_quotient_refuses_dependent_columns():
     with pytest.raises(InternalError, match="dependent"):
         quotient([identity(2)], [(F(1), F(2)), (F(2), F(4))], 2)
+
+
+def dense_mat_mul(a, b):
+    """Reference product over every entry, zeros included."""
+    bt = transpose(b)
+    return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), F(0)) for cb in bt) for ra in a)
+
+
+def sparse_rational(rng, rows, cols, zero_share=0.7):
+    return tuple(
+        tuple(
+            F(0) if rng.random() < zero_share else F(rng.randint(-5, 5), rng.randint(1, 7))
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    )
+
+
+def test_mat_mul_matches_dense_reference_on_sparse_matrices():
+    rng = random.Random(11)
+    for _ in range(60):
+        r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        share = rng.choice([0.0, 0.5, 0.8, 1.0])
+        a, b = sparse_rational(rng, r, k, share), sparse_rational(rng, k, c, share)
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+
+
+def test_mat_mul_empty_operand_shapes():
+    two_by_zero = ((), ())
+    three_by_zero = ((), (), ())
+    two_by_three = mat([[1, 0, 2], [0, 0, 3]])
+    three_by_two = mat([[1, 0], [0, 2], [4, 0]])
+    for a, b in [
+        ((), ()),
+        ((), three_by_two),
+        (two_by_zero, ()),
+        (two_by_three, three_by_zero),
+    ]:
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+    assert mat_mul(two_by_three, three_by_zero) == two_by_zero
+
+
+def greedy_extend_to_basis(cols, dim):
+    """Reference definition: add e_j whenever it raises the rank, one rank
+    computation per standard vector."""
+    current = list(cols)
+    r = rank(tuple(current)) if current else 0
+    if r != len(current):
+        raise InternalError("columns are linearly dependent")
+    chosen = []
+    for j in range(dim):
+        if r == dim:
+            break
+        cand = current + [identity(dim)[j]]
+        if rank(tuple(cand)) > r:
+            chosen.append(j)
+            current = cand
+            r += 1
+    return chosen
+
+
+def test_extend_to_basis_matches_greedy_rank_definition():
+    rng = random.Random(12)
+    checked = dependent = 0
+    for _ in range(150):
+        dim = rng.randint(1, 8)
+        count = rng.randint(0, dim)
+        cols = [tuple(r) for r in sparse_rational(rng, count, dim, rng.choice([0.3, 0.6, 0.85]))]
+        if count and rng.random() < 0.2:
+            cols.append(tuple(x + 2 * y for x, y in zip(cols[0], cols[-1])))
+        if cols and rank(tuple(cols)) < len(cols):
+            dependent += 1
+            with pytest.raises(InternalError, match="dependent"):
+                extend_to_basis(cols, dim)
+            continue
+        checked += 1
+        assert extend_to_basis(cols, dim) == greedy_extend_to_basis(cols, dim)
+    assert checked > 80 and dependent > 10
+    assert extend_to_basis([], 4) == [0, 1, 2, 3]
+    assert extend_to_basis(list(identity(3)), 3) == []
+    full = [(F(1), F(2), F(0)), (F(0), F(1), F(5)), (F(3), F(0), F(1))]
+    assert extend_to_basis(full, 3) == greedy_extend_to_basis(full, 3) == []
+    # the complement of span(e0 + e1) is e0 by the greedy rule, not e1
+    assert extend_to_basis([(F(1), F(1))], 2) == greedy_extend_to_basis([(F(1), F(1))], 2) == [0]
+
+
+# a residue of the benchmark's fault (b) input: the cleared constant term of
+# its characteristic polynomial has 19 digits while the Cauchy bound is below 2
+FAULT_B_RESIDUE = mat(
+    [
+        ["-1/8", "-3/19", "0", "-1/3", "-3/19", "1/16"],
+        ["3/8", "-2/23", "1/18", "-1/12", "3/10", "-1/13"],
+        ["-1/5", "1/5", "-1/6", "-1/16", "1/9", "-3/17"],
+        ["2/19", "1/14", "-1/7", "0", "-3/16", "-3/16"],
+        ["1/16", "3/23", "-1/10", "0", "0", "-1/7"],
+        ["-1/15", "3/8", "-3/8", "0", "1/22", "2/17"],
+    ]
+)
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+def _singular_shifts(m, kmax):
+    n = len(m)
+    return [
+        k
+        for k in range(-kmax, kmax + 1)
+        if det(tuple(tuple(m[i][j] - (k if i == j else 0) for j in range(n)) for i in range(n))) == 0
+    ]
+
+
+def _cauchy_bound(m):
+    p = charpoly(m)
+    return int(1 + max((abs(c) for c in p[:-1]), default=F(0)))
+
+
+def test_integer_eigenvalues_finishes_on_large_constant_term():
+    expected = _singular_shifts(FAULT_B_RESIDUE, _cauchy_bound(FAULT_B_RESIDUE))
+
+    def out_of_time(signum, frame):
+        raise _OutOfTime
+
+    found = None
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        found = integer_eigenvalues(FAULT_B_RESIDUE)
+    except _OutOfTime:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert found is not None, "integer_eigenvalues took more than 2 s"
+    assert found == expected
+
+
+def _invertible(rng, n):
+    while True:
+        p = sparse_rational(rng, n, n, 0.3)
+        if det(p) != 0:
+            return p
+
+
+def test_integer_eigenvalues_vs_brute_force_on_rational_matrices():
+    rng = random.Random(13)
+    planted_total = 0
+    for case in range(50):
+        n = rng.randint(1, 5)
+        if case % 2:
+            # P J P^-1 with J upper triangular: integer and non-integer
+            # eigenvalues on the diagonal, arbitrary entries above it
+            diag = [
+                F(rng.randint(-4, 4)) if rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(2, 9))
+                for _ in range(n)
+            ]
+            j_form = tuple(
+                tuple(diag[i] if i == j else (F(rng.randint(-2, 2)) if j > i else F(0)) for j in range(n))
+                for i in range(n)
+            )
+            p = _invertible(rng, n)
+            m = mat_mul(p, mat_mul(j_form, mat_inverse(p)))
+            planted = {int(x) for x in diag if x.denominator == 1}
+        else:
+            m = sparse_rational(rng, n, n, 0.3)
+            planted = set()
+        found = integer_eigenvalues(m)
+        assert found == _singular_shifts(m, _cauchy_bound(m))
+        assert planted <= set(found)
+        planted_total += len(planted)
+    assert planted_total > 10

@@ -17,6 +17,7 @@ from arrmc import (
     tuple_isomorphism,
     verify_mc_compatibility,
 )
+from arrmc import katz, monodromy
 from arrmc.fuchsian import enclosing_polyline, lasso_loop, standard_loops, winding_number
 from arrmc.monodromy import _transport_polyline, monodromy_tuple_of_ode
 
@@ -150,10 +151,20 @@ def test_step_underflow_on_pole_grazing_path():
         _transport_polyline(ode, grazing, TOL)
 
 
-def test_compatibility_main_scenario():
+def test_compatibility_main_scenario(monkeypatch):
+    kernel_calls = []
+    original = katz.multiplicative_kernels
+
+    def counting(*args):
+        kernel_calls.append(args)
+        return original(*args)
+
+    for module in (katz, monodromy):
+        monkeypatch.setattr(module, "multiplicative_kernels", counting)
     sys = four_lines_system(F(1, 2), F(1, 3), 0, 0)
     lam = ConvolutionParameter.make(F(1, 5))
     rep = verify_mc_compatibility(sys, Y_AXIS, lam, [F(2)], TOL, 1e-6)
+    assert len(kernel_calls) == 1  # the fixed spaces are computed once
     assert rep.ok
     assert rep.rank_multiplicative == rep.rank_restricted == 2
     assert rep.charpoly_deviation < 1e-6
