@@ -66,9 +66,6 @@ class Hyperplane:
     def sort_key(self):
         return (self.coeffs, self.constant)
 
-    def evaluate(self, point: Vector) -> Fraction:
-        return dot(self.coeffs, point) + self.constant
-
     def linear_part(self, direction: Vector) -> Fraction:
         return dot(self.coeffs, direction)
 

@@ -8,6 +8,7 @@ keys, byte-identical across runs for fixed inputs and tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -337,7 +338,9 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return 2, {"command": job.command, "error": str(exc)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="arrmc",
         description="Hyperplane arrangements, middle convolution and numeric monodromy.",

@@ -48,10 +48,13 @@ class FuchsianODE:
         gaps = [abs(qs[i] - qs[j]) for i in range(len(qs)) for j in range(i)]
         return min(gaps) if gaps else 1.0
 
-    def coefficient(self, y: complex) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim), dtype=complex)
+    def coefficient(self, y) -> np.ndarray:
+        """A(y) at a point, or at each point of an array of points: shape
+        ``np.shape(y) + (dim, dim)``."""
+        w = np.asarray(y, dtype=complex)[..., None, None]
+        a = np.zeros(w.shape[:-2] + (self.dim, self.dim), dtype=complex)
         for q, r in zip(self.poles, self.residues):
-            a += r / (y - q)
+            a += r / (w - q)
         return a
 
     def residue_at_infinity(self) -> np.ndarray:

@@ -89,13 +89,6 @@ class CharacterValue:
             return CharacterValue(scalar=self.scalar * other.scalar)
         return CharacterValue(exponent=(self.exponent + other.exponent) % 1)
 
-    def is_inverse_of(self, other: "CharacterValue") -> bool:
-        if self.scalar is not None and other.scalar is not None:
-            return self.scalar * other.scalar == 1
-        if self.exponent is not None and other.exponent is not None:
-            return (self.exponent + other.exponent) % 1 == 0
-        return False
-
 
 @dataclass(frozen=True)
 class MonodromyTuple:

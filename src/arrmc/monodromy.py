@@ -6,6 +6,15 @@ matrices compose so that the ordered product M_1 ... M_n over the standard
 loops equals the transport around a large counterclockwise circle; the
 monodromy at infinity is its inverse, and this identity is checked against
 the integrator output on every tuple extraction.
+
+All polylines of one extraction start from the identity at the base point,
+so they are integrated as one batch: every pass makes one step attempt per
+unfinished polyline, evaluates A at the six new stage points of all of them
+in one call, and forms the stage combinations as one batched product.  The
+seventh stage is evaluated at the accepted solution, so it is the first
+stage of the next step (first same as last) and is only recomputed where a
+polyline turns a corner.  Each polyline keeps its own step size and step
+rule, so its transport does not depend on what else is in the batch.
 """
 
 from __future__ import annotations
@@ -33,79 +42,141 @@ from .pfaffian import (
     fiber_restriction,
 )
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4).  Row i of _DP_A weighs stages 1..7 in the input of
+# stage i + 2.  The last row is the fifth-order solution, so stage 7 is
+# evaluated at the accepted point and is the first stage of the next step.
+_DP_A = np.array(
+    [
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    ]
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])  # stages 2..7
+_DP_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# the stage weights, then the error weights b5 - b4; scaled by h once per pass
+_DP_W = np.vstack([_DP_A, _DP_A[-1] - _DP_B4]).astype(complex)
 
 _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
 
 
-def _transport_segment(ode: FuchsianODE, start: complex, end: complex, f: np.ndarray, tol: float) -> np.ndarray:
-    d = end - start
-    seg_len = abs(d)
-    if seg_len == 0.0:
-        return f
-    t = 0.0
-    h = 0.1
-    steps = 0
-    while t < 1.0:
-        steps += 1
-        if steps > _MAX_STEPS:
+class _Track:
+    """Step state of one polyline: its current segment start + t * d, the
+    step size h and the steps taken on the segment."""
+
+    __slots__ = ("index", "points", "seg", "start", "d", "seg_len", "t", "h", "steps")
+
+    def __init__(self, index: int, points):
+        self.index = index
+        self.points = points
+        self.seg = -1
+
+    def next_segment(self, poles) -> bool:
+        """Move to the next segment of nonzero length and begin its first
+        step; False when the polyline is exhausted."""
+        while True:
+            self.seg += 1
+            if self.seg + 1 >= len(self.points):
+                return False
+            self.start = self.points[self.seg]
+            self.d = self.points[self.seg + 1] - self.start
+            self.seg_len = abs(self.d)
+            if self.seg_len != 0.0:
+                break
+        self.t = 0.0
+        self.h = 0.1
+        self.steps = 0
+        self.begin_step(poles)
+        return True
+
+    def begin_step(self, poles) -> None:
+        """Count the step and cap h so it stays inside the segment and moves
+        at most half the distance to the nearest pole."""
+        self.steps += 1
+        if self.steps > _MAX_STEPS:
             raise ToleranceNotMet("step budget exhausted on a segment")
-        y = start + t * d
-        dist = min((abs(y - q) for q in ode.poles), default=math.inf)
-        cap = 1.0 - t
+        y = self.start + self.t * self.d
+        dist = min((abs(y - q) for q in poles), default=math.inf)
+        cap = 1.0 - self.t
         if math.isfinite(dist):
-            cap = min(cap, 0.5 * dist / seg_len)
+            cap = min(cap, 0.5 * dist / self.seg_len)
         if cap < _MIN_STEP:
             raise StepUnderflow("step size underflow; path too close to a pole")
-        h = min(h, cap)
-        while True:
-            ks = []
-            for i in range(7):
-                yi = start + (t + _DP_C[i] * h) * d
-                fi = f
-                for j, a in enumerate(_DP_A[i]):
-                    if a:
-                        fi = fi + (h * a) * ks[j]
-                ks.append(ode.coefficient(yi) @ fi * d)
-            f5 = f
-            f4 = f
-            for b, k in zip(_DP_B5, ks):
-                if b:
-                    f5 = f5 + (h * b) * k
-            for b, k in zip(_DP_B4, ks):
-                if b:
-                    f4 = f4 + (h * b) * k
-            err = float(np.max(np.abs(f5 - f4))) if f5.size else 0.0
-            limit = tol * max(1.0, float(np.max(np.abs(f5))) if f5.size else 1.0)
+        self.h = min(self.h, cap)
+
+
+def _first_stages(ode: FuchsianODE, tracks, f: np.ndarray) -> np.ndarray:
+    """A(start) F d at the start of each track's segment."""
+    d = np.array([tr.d for tr in tracks])
+    a = ode.coefficient(np.array([tr.start for tr in tracks])) * d[:, None, None]
+    return a @ f
+
+
+def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.ndarray]:
+    """Transport F = Id from the first point of each polyline to its last.
+
+    All polylines advance together: each pass makes one Dormand-Prince
+    attempt on every live trajectory, evaluates the coefficient at all their
+    new stage points in one call and combines the stages in one batched
+    product.  The step rule of a trajectory does not depend on the others,
+    so each result equals the transport of its polyline alone.
+    """
+    dim = ode.dim
+    out: list = [np.eye(dim, dtype=complex) for _ in polylines]
+    tracks = [_Track(i, points) for i, points in enumerate(polylines)]
+    live = [tr for tr in tracks if tr.next_segment(ode.poles)]
+    f = np.tile(np.eye(dim, dtype=complex), (len(live), 1, 1))
+    k1 = _first_stages(ode, live, f)
+    while live:
+        b = len(live)
+        h = np.array([tr.h for tr in live])
+        t = np.array([tr.t for tr in live])
+        start = np.array([tr.start for tr in live])
+        d = np.array([tr.d for tr in live])
+        y = start[:, None] + (t[:, None] + _DP_C * h[:, None]) * d[:, None]
+        a = ode.coefficient(y) * d[:, None, None, None]
+        hw = h[:, None, None] * _DP_W
+        k = np.zeros((b, 7, dim, dim), dtype=complex)
+        k[:, 0] = k1
+        kf = k.reshape(b, 7, dim * dim)
+        for i in range(6):
+            fi = f + (hw[:, i : i + 1] @ kf).reshape(b, dim, dim)
+            k[:, i + 1] = a[:, i] @ fi
+        f5 = fi
+        errs = np.abs(hw[:, 6:] @ kf).max(axis=(1, 2), initial=0.0).tolist()
+        fmax = np.abs(f5).max(axis=(1, 2), initial=0.0).tolist()
+        accepted, entered, keep = [], [], []
+        for j, tr in enumerate(live):
+            err, limit = errs[j], tol * max(1.0, fmax[j])
             if err <= limit:
-                f = f5
-                t += h
+                accepted.append(j)
+                tr.t += tr.h
                 grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (limit / err) ** 0.2))
-                h = min(max(h * grow, _MIN_STEP), 0.5)
-                break
-            h *= max(0.1, 0.9 * (limit / err) ** 0.25)
-            if h < _MIN_STEP:
-                raise StepUnderflow("step size underflow; path too close to a pole")
-    return f
-
-
-def _transport_polyline(ode: FuchsianODE, points, tol: float) -> np.ndarray:
-    f = np.eye(ode.dim, dtype=complex)
-    for a, b in zip(points[:-1], points[1:]):
-        f = _transport_segment(ode, a, b, f, tol)
-    return f
+                tr.h = min(max(tr.h * grow, _MIN_STEP), 0.5)
+                if tr.t < 1.0:
+                    tr.begin_step(ode.poles)
+                elif tr.next_segment(ode.poles):
+                    entered.append(j)
+                else:
+                    out[tr.index] = f5[j].copy()
+                    continue
+            else:
+                tr.h *= max(0.1, 0.9 * (limit / err) ** 0.25)
+                if tr.h < _MIN_STEP:
+                    raise StepUnderflow("step size underflow; path too close to a pole")
+            keep.append(j)
+        f[accepted] = f5[accepted]
+        k1[accepted] = k[accepted, 6]
+        if entered:
+            k1[entered] = _first_stages(ode, [live[j] for j in entered], f[entered])
+        if len(keep) < b:
+            live = [live[j] for j in keep]
+            f, k1 = f[keep], k1[keep]
+    return out
 
 
 def transport_along_loop(ode: FuchsianODE, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
@@ -113,7 +184,7 @@ def transport_along_loop(ode: FuchsianODE, path: LoopPath, tol: float = 1e-10) -
     if tol <= 0:
         raise ToleranceNotMet("tolerance must be positive")
     validate_loop(path, ode.poles)
-    return _transport_polyline(ode, path.points, tol)
+    return _transport_polylines(ode, [path.points], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -128,17 +199,17 @@ def monodromy_tuple_of_ode(
     ode: FuchsianODE, tol: float = 1e-10, consistency_tol: float = 1e-6
 ) -> TupleExtraction:
     base, loops, order = standard_loops(ode.poles, ode.basepoint)
-    mats = [_transport_polyline(ode, path.points, tol) for path in loops]
     labels = [ode.labels[i] for i in order]
+    mats = []
     residual = 0.0
     if loops:
         big = enclosing_polyline(ode.poles, base)
-        t_big = _transport_polyline(ode, big, tol)
+        *mats, t_big = _transport_polylines(ode, [path.points for path in loops] + [big], tol)
         prod = np.eye(ode.dim, dtype=complex)
         for m in mats:
             prod = prod @ m
-        scale = max(1.0, float(np.max(np.abs(t_big))))
-        residual = float(np.max(np.abs(prod - t_big))) / scale
+        scale = max(1.0, float(np.max(np.abs(t_big), initial=0.0)))
+        residual = float(np.max(np.abs(prod - t_big), initial=0.0)) / scale
         if residual > consistency_tol:
             raise ToleranceNotMet(
                 f"loop product inconsistent with the enclosing transport: {residual:.3e}"

@@ -289,6 +289,23 @@ def test_cli_numeric_katz_failure_exit_code(capsys, tmp_path):
     assert "numerically invariant" in rep["error"]
 
 
+def test_cli_monodromy_of_rank_zero_system(capsys, tmp_path):
+    # middle convolution can return a system of rank 0; its fiber tuple is
+    # one empty generator per puncture and the loop-product check is trivial
+    from conftest import line_system
+
+    path = tmp_path / "one_point.json"
+    path.write_text(ser.dumps(ser.system_to_json(line_system([0], [[["1/3"]]]))))
+    code, rep = run_cli(capsys, "middle-convolve", str(path), "--line=1", "--lambda=-1/3")
+    assert code == 0 and rep["dim"] == 0
+    path.write_text(ser.dumps(rep["system"]))
+    code, rep = run_cli(capsys, "monodromy", str(path), "--line=1", "--base=")
+    assert code == 0 and rep["ok"]
+    assert rep["rank"] == 0 and rep["punctures"] == 1
+    assert rep["tuple"]["matrices"] == [[]]
+    assert rep["product_residual"] == 0.0
+
+
 def test_cli_check_unchecked_reports_nonintegrable(capsys, tmp_path):
     from arrmc import Arrangement, Hyperplane, PfaffianSystem
 

@@ -19,7 +19,7 @@ from arrmc import (
 )
 from arrmc import katz, monodromy
 from arrmc.fuchsian import enclosing_polyline, lasso_loop, standard_loops, winding_number
-from arrmc.monodromy import _transport_polyline, monodromy_tuple_of_ode
+from arrmc.monodromy import _transport_polylines, monodromy_tuple_of_ode
 
 from conftest import Y_AXIS, four_lines_system, kz_system
 
@@ -148,7 +148,110 @@ def test_step_underflow_on_pole_grazing_path():
     ode = scalar_ode(F(1, 2))
     grazing = (-2j, 1e-16 - 1e-16j, 2 + 0j, 2 - 2j, -2j)
     with pytest.raises(StepUnderflow):
-        _transport_polyline(ode, grazing, TOL)
+        _transport_polylines(ode, [grazing], TOL)
+
+
+# The per-segment Dormand-Prince transport that the batched driver replaced,
+# kept as the reference: one trajectory, one point at a time, no reuse of
+# the last stage.
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _reference_segment(ode, start, end, f, tol):
+    d = end - start
+    seg_len = abs(d)
+    if seg_len == 0.0:
+        return f
+    t, h = 0.0, 0.1
+    while t < 1.0:
+        y = start + t * d
+        dist = min(abs(y - q) for q in ode.poles)
+        h = min(h, 1.0 - t, 0.5 * dist / seg_len)
+        while True:
+            ks = []
+            for i in range(7):
+                yi = start + (t + _REF_C[i] * h) * d
+                fi = f
+                for j, a in enumerate(_REF_A[i]):
+                    if a:
+                        fi = fi + (h * a) * ks[j]
+                ks.append(sum(r / (yi - q) for q, r in zip(ode.poles, ode.residues)) @ fi * d)
+            f5, f4 = f, f
+            for b, k in zip(_REF_B5, ks):
+                if b:
+                    f5 = f5 + (h * b) * k
+            for b, k in zip(_REF_B4, ks):
+                if b:
+                    f4 = f4 + (h * b) * k
+            err = float(np.max(np.abs(f5 - f4)))
+            limit = tol * max(1.0, float(np.max(np.abs(f5))))
+            if err <= limit:
+                f = f5
+                t += h
+                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (limit / err) ** 0.2))
+                h = min(max(h * grow, 1e-13), 0.5)
+                break
+            h *= max(0.1, 0.9 * (limit / err) ** 0.25)
+    return f
+
+
+def _reference_polyline(ode, points, tol):
+    f = np.eye(ode.dim, dtype=complex)
+    for a, b in zip(points[:-1], points[1:]):
+        f = _reference_segment(ode, a, b, f, tol)
+    return f
+
+
+RANDOM_SHAPES = ((1, 2), (2, 3), (3, 4), (4, 2), (2, 4))  # (dim, number of poles)
+
+
+def random_ode(rng, dim, npoles):
+    poles = tuple(complex(*rng.uniform(-2, 2, size=2)) for _ in range(npoles))
+    while min(abs(p - q) for i, p in enumerate(poles) for q in poles[:i]) < 0.5:
+        poles = tuple(complex(*rng.uniform(-2, 2, size=2)) for _ in range(npoles))
+    residues = tuple(
+        0.3 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        for _ in range(npoles)
+    )
+    labels = tuple(f"p{i}" for i in range(npoles))
+    return FuchsianODE(poles, residues, labels, complex(0, -6), dim)
+
+
+def tuple_polylines(ode):
+    base, loops, _ = standard_loops(ode.poles, ode.basepoint)
+    return [path.points for path in loops] + [enclosing_polyline(ode.poles, base)]
+
+
+def test_batched_transport_equals_each_polyline_alone():
+    rng = np.random.default_rng(11)
+    for dim, npoles in RANDOM_SHAPES:
+        ode = random_ode(rng, dim, npoles)
+        polylines = tuple_polylines(ode)
+        together = _transport_polylines(ode, polylines, TOL)
+        for points, m in zip(polylines, together):
+            alone = _transport_polylines(ode, [points], TOL)[0]
+            assert np.array_equal(m, alone)
+
+
+def test_batched_transport_matches_per_segment_reference():
+    rng = np.random.default_rng(12)
+    for dim, npoles in RANDOM_SHAPES:
+        ode = random_ode(rng, dim, npoles)
+        polylines = tuple_polylines(ode)
+        for points, m in zip(polylines, _transport_polylines(ode, polylines, TOL)):
+            ref = _reference_polyline(ode, points, TOL)
+            assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_compatibility_main_scenario(monkeypatch):
