@@ -66,15 +66,23 @@ def _matrix_json(m) -> list:
     return [[ser.rational_str(x) for x in row] for row in m]
 
 
+def _rational(s: str):
+    """An exact rational from a command-line string; malformed is an input error."""
+    try:
+        return frac(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed rational {s!r}") from None
+
+
 def _parse_line(s: str) -> LineDirection:
-    return LineDirection.make([frac(part) for part in s.split(",")])
+    return LineDirection.make([_rational(part) for part in s.split(",")])
 
 
 def _parse_base(s: str):
     s = s.strip()
     if not s:
         return []
-    return [frac(part) for part in s.split(",")]
+    return [_rational(part) for part in s.split(",")]
 
 
 def _load_system(path: str, params: dict):
@@ -392,13 +400,13 @@ def _job_from_args(args) -> JobSpec:
     if getattr(args, "line", None):
         params["line"] = _parse_line(args.line)
     if getattr(args, "lam", None):
-        params["lambda"] = ConvolutionParameter.make(frac(args.lam))
+        params["lambda"] = ConvolutionParameter.make(_rational(args.lam))
     if getattr(args, "mu", None):
-        params["mu"] = ConvolutionParameter.make(frac(args.mu))
+        params["mu"] = ConvolutionParameter.make(_rational(args.mu))
     if getattr(args, "base", None) is not None:
         params["base"] = _parse_base(args.base)
     if getattr(args, "scalar", None):
-        params["scalar"] = frac(args.scalar)
+        params["scalar"] = _rational(args.scalar)
     if getattr(args, "unchecked", False):
         params["unchecked"] = True
     if getattr(args, "tol", None) is not None:

@@ -304,7 +304,7 @@ def quotient_by_fixed_spaces(t: MonodromyTuple, kernels, tol: float = 1e-9) -> M
     cut = joint.shape[1]
     p_inv = np.linalg.inv(p)
     out = []
-    scale = max(1.0, max(float(np.max(np.abs(b))) for b in conv.matrices))
+    scale = max([1.0] + [float(np.max(np.abs(b), initial=0.0)) for b in conv.matrices])
     for b in conv.matrices:
         q = p_inv @ b @ p
         lower_left = q[cut:, :cut]
@@ -454,7 +454,7 @@ def tuple_isomorphism(
     for m1, m2 in zip(a, b):
         rows.append(np.kron(np.eye(r), m1.T) - np.kron(m2, np.eye(r)))
     system = np.vstack(rows)
-    scale = max(1.0, max(float(np.max(np.abs(m))) for m in a + b))
+    scale = max([1.0] + [float(np.max(np.abs(m), initial=0.0)) for m in a + b])
     # candidate directions: singular vectors whose residual already beats the
     # isomorphism tolerance; the final residual check below rejects impostors
     cut = scale * max(svd_tol, tol / 10.0)

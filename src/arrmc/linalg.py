@@ -4,13 +4,23 @@ Matrices are immutable tuples of row tuples of ``fractions.Fraction``; the
 one-variable polynomials used by the pencil tests are tuples of coefficients
 in increasing degree order (the zero polynomial is the empty tuple).
 Everything here is exact; floating point never enters.
+
+Row reduction runs on integers.  ``_integer_rows`` scales each row by the
+lcm of its denominators, which keeps the row space, and ``_echelon``
+eliminates fraction-free: a row is cross-multiplied against the pivot row
+by cofactors of their gcd, then divided by its content, the gcd of its
+entries, so the integers stay small.  ``rank`` counts the pivots of that
+echelon form and builds no ``Fraction``; ``rref`` back-substitutes on the
+integer rows and makes ``Fraction`` entries only for its output.  Both
+choose pivots left to right, and the reduced form is unique, so callers
+see the canonical rows over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InternalError
 
@@ -110,44 +120,80 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for r in m for x in r)
 
 
+def _integer_rows(m: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same row space with
+    plain int entries."""
+    out = []
+    for r in m:
+        d = lcm(*[x.denominator for x in r])
+        out.append([x.numerator * (d // x.denominator) for x in r])
+    return out
+
+
+def _reduce(row: list[int], prow: list[int], col: int) -> list[int]:
+    """``row`` with its entry in ``col`` cleared against ``prow``, divided by
+    its content."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    c = gcd(*new)
+    if c > 1:
+        new = [x // c for x in new]
+    return new
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of integer rows, zero rows dropped, and its pivots.
+
+    Pivots are chosen left to right, the first remaining row nonzero in a
+    column being its pivot row; only rows nonzero in the pivot column are
+    touched.  Works in place on ``rows``.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(nc):
+        for i in range(pr, nr):
+            if rows[i][pc]:
+                break
+        else:
+            continue
+        rows[pr], rows[i] = rows[i], rows[pr]
+        prow = rows[pr]
+        for i in range(pr + 1, nr):
+            if rows[i][pc]:
+                rows[i] = _reduce(rows[i], prow, pc)
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return rows[:pr], pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.
 
     Pivots are chosen left to right, so the result is the canonical form
     used for flat equality throughout the package.
     """
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(nc):
-        pivot_row = None
-        for i in range(pr, nr):
-            if rows[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        support = [(j, y) for j, y in enumerate(rows[pr]) if y]
-        for i in range(nr):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                row = rows[i]
-                for j, y in support:
-                    row[j] -= f * y
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return tuple(tuple(r) for r in rows[:pr]), tuple(pivots)
+    rows, pivots = _echelon(_integer_rows(m))
+    for k in range(len(rows) - 1, 0, -1):
+        pc = pivots[k]
+        for i in range(k):
+            if rows[i][pc]:
+                rows[i] = _reduce(rows[i], rows[k], pc)
+    zero = Fraction(0)
+    red = tuple(
+        tuple(Fraction(x, row[pc]) if x else zero for x in row)
+        for row, pc in zip(rows, pivots)
+    )
+    return red, tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[0])
+    return len(_echelon(_integer_rows(m))[1])
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
@@ -397,21 +443,12 @@ def integer_eigenvalues(m: Matrix) -> list[int]:
         return found
     bound = 1 + max(abs(c) for c in work[:-1])
     kmax = int(bound)
-    denom_lcm = 1
-    for c in work:
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-    const = int(work[0] * denom_lcm)
+    const = int(work[0] * lcm(*[c.denominator for c in work]))
     for k in _divisors_up_to(const, kmax):
         for s in (k, -k):
             if poly_eval(p, Fraction(s)) == 0:
                 found.append(s)
     return sorted(found)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

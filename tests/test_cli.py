@@ -306,6 +306,47 @@ def test_cli_monodromy_of_rank_zero_system(capsys, tmp_path):
     assert rep["product_residual"] == 0.0
 
 
+def test_cli_rh_verify_of_rank_zero_system(capsys, tmp_path):
+    # the numeric Katz branch and the tuple isomorphism scale their
+    # tolerances by the largest entry, which a rank-0 tuple does not have
+    from conftest import line_system
+
+    path = tmp_path / "one_point.json"
+    path.write_text(ser.dumps(ser.system_to_json(line_system([0], [[["1/3"]]]))))
+    code, rep = run_cli(capsys, "middle-convolve", str(path), "--line=1", "--lambda=-1/3")
+    assert code == 0 and rep["dim"] == 0
+    path.write_text(ser.dumps(rep["system"]))
+    code, rep = run_cli(
+        capsys, "rh-verify", str(path), "--line", "1", "--lambda", "1/5", "--base="
+    )
+    assert code in (0, 1, 3)
+    assert rep["command"] == "rh-verify"
+    if code == 3:
+        assert rep["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "four_lines_system.json", "--line", "0,q", "--lambda", "1/5"),
+        ("check", "four_lines_system.json", "--line", "0,1", "--lambda", "x"),
+        ("check", "four_lines_system.json", "--line", "0,1", "--lambda", "1/0"),
+        ("compose-verify", "four_lines_system.json", "--line", "0,1",
+         "--lambda", "1/5", "--mu", "1/2/3"),
+        ("rh-verify", "four_lines_system.json", "--line", "0,1",
+         "--lambda", "1/5", "--base", "2,y"),
+        ("katz-mc", "exact_tuple.json", "--scalar", "two"),
+    ],
+)
+def test_cli_malformed_rational_is_input_error(capsys, argv):
+    command, name, *rest = argv
+    code = main([command, corpus(name), *rest])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "rational" in captured.err
+
+
 def test_cli_check_unchecked_reports_nonintegrable(capsys, tmp_path):
     from arrmc import Arrangement, Hyperplane, PfaffianSystem
 

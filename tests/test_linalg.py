@@ -246,6 +246,91 @@ def test_mat_mul_empty_operand_shapes():
     assert mat_mul(two_by_three, three_by_zero) == two_by_zero
 
 
+def fraction_rref(m):
+    """Reference: Gauss-Jordan elimination over Fraction, pivots left to
+    right, the first nonzero row as pivot row, zero rows dropped."""
+    rows = [list(r) for r in m]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        pivot_row = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(nr):
+            if i != pr and rows[i][pc] != 0:
+                f = rows[i][pc]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return tuple(tuple(r) for r in rows[:pr]), tuple(pivots)
+
+
+def random_rational_rows(rng, nrows, ncols, max_den, zero_share):
+    max_num = max(9, max_den)
+    return [
+        [
+            F(0) if rng.random() < zero_share
+            else F(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def assert_kernel_matches_reference(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == fraction_rref(m)
+    assert all(type(x) is F for row in red for x in row)
+    assert rank(m) == len(pivots)
+
+
+def test_rref_and_rank_on_degenerate_shapes():
+    for m in [
+        (),
+        ((),),
+        ((), (), ()),
+        mat([[0]]),
+        mat([[0, 0, 0], [0, 0, 0]]),
+        mat([[0, 2, 4], [0, 2, 4], [0, 0, 0], [0, 1, 2]]),
+        mat([["1/2"], ["-3/4"]]),
+        mat([[5, "7/3", 0, -1]]),
+    ]:
+        assert_kernel_matches_reference(m)
+    assert rref(()) == ((), ()) and rank(((), ())) == 0
+
+
+def test_rref_and_rank_match_fraction_reference_on_random_matrices():
+    rng = random.Random(20260)
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        max_den = rng.choice([1, 1, 7, 1000, 10**6])
+        rows = random_rational_rows(rng, nrows, ncols, max_den, rng.choice([0.0, 0.5, 0.8]))
+        kind = trial % 4
+        if kind == 1:
+            # low rank: rows are rational combinations of a few random rows
+            basis = random_rational_rows(rng, rng.randint(1, 3), ncols, max_den, 0.3)
+            rows = [
+                [sum((rng.randint(-3, 3) * b[j] for b in basis), F(0)) for j in range(ncols)]
+                for _ in range(nrows)
+            ]
+        elif kind == 2:
+            # duplicated, rescaled and zero rows
+            for _ in range(rng.randint(1, 4)):
+                src = rng.choice(rows)
+                scale = rng.choice([F(1), F(-2), F(3, 7)])
+                rows.insert(rng.randrange(len(rows) + 1), [scale * x for x in src])
+            rows.insert(rng.randrange(len(rows) + 1), [F(0)] * ncols)
+            rows = rows[:12]
+        assert_kernel_matches_reference(tuple(tuple(r) for r in rows))
+
+
 def greedy_extend_to_basis(cols, dim):
     """Reference definition: add e_j whenever it raises the rank, one rank
     computation per standard vector."""
