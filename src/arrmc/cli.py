@@ -288,7 +288,7 @@ def _cmd_rh_verify(job: JobSpec):
         return 1, report
 
     compat = verify_mc_compatibility(
-        sys_, y, lam, base, tol, iso_tol, job.params.get("rank_tol", 1e-9)
+        sys_, y, lam, base, tol, iso_tol, job.params.get("rank_tol", 1e-9), genericity=gen
     )
     stages["compatibility_ok"] = compat.ok
     report["compatibility"] = {

@@ -69,6 +69,17 @@ class ConvolutionResult:
     block_kernel_basis: tuple[Vector, ...]
     diagonal_kernel_basis: tuple[Vector, ...]
 
+    def middle(self) -> PfaffianSystem:
+        """Quotient by the two invariant kernels, presented on the
+        deterministic complement spanned by standard basis vectors chosen
+        greedily in index order."""
+        res, big = self.system.residues, self.system.dim_e
+        kl = list(self.block_kernel_basis) + list(self.diagonal_kernel_basis)
+        mats = quotient(list(res.values()), kl, big)
+        return PfaffianSystem.make(
+            self.system.arrangement, big - len(kl), dict(zip(res, mats)), check=True
+        )
+
 
 def block_order_of(sys: PfaffianSystem, y: LineDirection) -> tuple[str, ...]:
     _, rest = parallel_subarrangement(sys.arrangement, y)
@@ -242,18 +253,9 @@ def middle_convolve(
     lam: ConvolutionParameter,
     require_good: bool = True,
 ) -> PfaffianSystem:
-    """Quotient of the convolution by the two invariant kernels.
-
-    The quotient is presented on the deterministic complement spanned by
-    standard basis vectors chosen greedily in index order.
-    """
-    cr = convolve(sys, y, lam, require_good=require_good)
-    res, big = cr.system.residues, cr.system.dim_e
-    kl = list(cr.block_kernel_basis) + list(cr.diagonal_kernel_basis)
-    mats = quotient(list(res.values()), kl, big)
-    return PfaffianSystem.make(
-        cr.system.arrangement, big - len(kl), dict(zip(res, mats)), check=True
-    )
+    """Quotient of the convolution by the two invariant kernels
+    (``ConvolutionResult.middle``)."""
+    return convolve(sys, y, lam, require_good=require_good).middle()
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,6 @@ class FuchsianODE:
         gaps = [abs(qs[i] - qs[j]) for i in range(len(qs)) for j in range(i)]
         return min(gaps) if gaps else 1.0
 
-    def coefficient(self, y) -> np.ndarray:
-        """A(y) at a point, or at each point of an array of points: shape
-        ``np.shape(y) + (dim, dim)``."""
-        w = np.asarray(y, dtype=complex)[..., None, None]
-        a = np.zeros(w.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        for q, r in zip(self.poles, self.residues):
-            a += r / (w - q)
-        return a
-
     def residue_at_infinity(self) -> np.ndarray:
         """Minus the sum of the finite residues (residue theorem on P^1)."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -130,12 +121,18 @@ def lasso_loop(base: complex, pole: complex, radius: float, poles) -> LoopPath:
     """Polyline lasso: rise to just below the pole, circle it CCW, return.
 
     The vertical approach abscissa is nudged sideways when another pole
-    obstructs it; the resulting winding numbers are validated exactly.
+    obstructs it, but never past a lower pole to the side that breaks the
+    (real, imaginary) order: earlier poles stay left of the arm, later ones
+    right.  The resulting winding numbers are validated exactly.
     """
     margin = radius / 2
     others = [q for q in poles if q != pole]
+    key = (pole.real, pole.imag)
+    lower = [(q.real, (q.real, q.imag) < key) for q in others if q.imag < pole.imag]
     for k in range(16):
         off = 0.0 if k == 0 else ((-1) ** k) * ((k + 1) // 2) * margin
+        if any((pole.real + off > x) != earlier for x, earlier in lower):
+            continue
         bottom = pole - 1j * radius
         if off == 0.0:
             arm = [base, complex(pole.real, base.imag), bottom]

@@ -1,20 +1,20 @@
 """Numeric analytic continuation along loops and the compatibility check.
 
 The fundamental matrix F of dF/dy = A(y) F, F(start) = Id, is transported
-along polyline loops with an adaptive Dormand-Prince 5(4) step.  Transport
-matrices compose so that the ordered product M_1 ... M_n over the standard
-loops equals the transport around a large counterclockwise circle; the
-monodromy at infinity is its inverse, and this identity is checked against
-the integrator output on every tuple extraction.
+along polyline loops by Taylor steps over a chain of discs (after
+Chudnovsky-Chudnovsky 1990 and Mezzarobba 2010).  Each step z from a center
+c satisfies |z| <= rho(c) / 3, rho(c) being the distance to the nearest
+pole, so the majorant (1 - z/rho)^(-S), S = sum_k ||R_k||_2, bounds the
+truncation error a priori: one order per ODE, no step rejection and no
+run-time error estimate.  Transport matrices compose so that the ordered
+product M_1 ... M_n over the standard loops equals the transport around a
+large counterclockwise circle; the monodromy at infinity is its inverse,
+and this identity is checked on every tuple extraction.
 
-All polylines of one extraction start from the identity at the base point,
-so they are integrated as one batch: every pass makes one step attempt per
-unfinished polyline, evaluates A at the six new stage points of all of them
-in one call, and forms the stage combinations as one batched product.  The
-seventh stage is evaluated at the accepted solution, so it is the first
-stage of the next step (first same as last) and is only recomputed where a
-polyline turns a corner.  Each polyline keeps its own step size and step
-rule, so its transport does not depend on what else is in the batch.
+The disc chain depends only on the geometry, so the propagators of all
+discs of all polylines of one extraction are independent: they are
+computed as one batch, a fixed number of discs at a time, with one stacked
+matrix product per order, and each polyline then multiplies its own chain.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import kernel_subspaces, middle_convolve
+from .convolution import convolve
 from .errors import AssumptionFail, StepUnderflow, ToleranceNotMet
 from .fuchsian import FuchsianODE, LoopPath, enclosing_polyline, standard_loops, validate_loop
 from .katz import (
@@ -37,145 +37,129 @@ from .katz import (
 )
 from .pfaffian import (
     ConvolutionParameter,
+    GenericityReport,
     PfaffianSystem,
     check_assumption_generic,
     fiber_restriction,
 )
 
-# Dormand-Prince 5(4).  Row i of _DP_A weighs stages 1..7 in the input of
-# stage i + 2.  The last row is the fifth-order solution, so stage 7 is
-# evaluated at the accepted point and is the first stage of the next step.
-_DP_A = np.array(
-    [
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    ]
-)
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])  # stages 2..7
-_DP_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-# the stage weights, then the error weights b5 - b4; scaled by h once per pass
-_DP_W = np.vstack([_DP_A, _DP_A[-1] - _DP_B4]).astype(complex)
-
+# Each disc step z from a center c satisfies |z| <= _THETA * rho(c), where
+# rho(c) is the distance from c to the nearest pole.
+_THETA = 1 / 3
 _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
+_MAX_ORDER = 10_000
+_CHUNK = 16  # discs per batched recurrence; bounds the working set
 
 
-class _Track:
-    """Step state of one polyline: its current segment start + t * d, the
-    step size h and the steps taken on the segment."""
+def _disc_chain(points, poles) -> list[tuple[complex, complex]]:
+    """(center, step) of every disc along the polyline, in path order.
 
-    __slots__ = ("index", "points", "seg", "start", "d", "seg_len", "t", "h", "steps")
-
-    def __init__(self, index: int, points):
-        self.index = index
-        self.points = points
-        self.seg = -1
-
-    def next_segment(self, poles) -> bool:
-        """Move to the next segment of nonzero length and begin its first
-        step; False when the polyline is exhausted."""
-        while True:
-            self.seg += 1
-            if self.seg + 1 >= len(self.points):
-                return False
-            self.start = self.points[self.seg]
-            self.d = self.points[self.seg + 1] - self.start
-            self.seg_len = abs(self.d)
-            if self.seg_len != 0.0:
+    Each segment a -> b is walked from a with steps of length
+    _THETA * rho(center); the last disc of a segment lands exactly on b.
+    """
+    discs: list[tuple[complex, complex]] = []
+    for a, b in zip(points[:-1], points[1:]):
+        d = b - a
+        seg_len = abs(d)
+        if seg_len == 0.0:
+            continue
+        unit = d / seg_len
+        c, walked = a, 0.0
+        for _ in range(_MAX_STEPS):
+            reach = _THETA * min((abs(c - q) for q in poles), default=math.inf)
+            if reach < _MIN_STEP * seg_len:
+                raise StepUnderflow("step size underflow; path too close to a pole")
+            if walked + reach >= seg_len:
+                discs.append((c, b - c))
                 break
-        self.t = 0.0
-        self.h = 0.1
-        self.steps = 0
-        self.begin_step(poles)
-        return True
-
-    def begin_step(self, poles) -> None:
-        """Count the step and cap h so it stays inside the segment and moves
-        at most half the distance to the nearest pole."""
-        self.steps += 1
-        if self.steps > _MAX_STEPS:
+            walked += reach
+            nxt = a + walked * unit
+            discs.append((c, nxt - c))
+            c = nxt
+        else:
             raise ToleranceNotMet("step budget exhausted on a segment")
-        y = self.start + self.t * self.d
-        dist = min((abs(y - q) for q in poles), default=math.inf)
-        cap = 1.0 - self.t
-        if math.isfinite(dist):
-            cap = min(cap, 0.5 * dist / self.seg_len)
-        if cap < _MIN_STEP:
-            raise StepUnderflow("step size underflow; path too close to a pole")
-        self.h = min(self.h, cap)
+    return discs
 
 
-def _first_stages(ode: FuchsianODE, tracks, f: np.ndarray) -> np.ndarray:
-    """A(start) F d at the start of each track's segment."""
-    d = np.array([tr.d for tr in tracks])
-    a = ode.coefficient(np.array([tr.start for tr in tracks])) * d[:, None, None]
-    return a @ f
+def _taylor_order(ode: FuchsianODE, tol: float) -> int:
+    """Truncation order N of every disc sum of ``ode`` at ``tol``.
+
+    With S = sum_k ||R_k||_2, the series (1 - z/rho)^(-S) majorizes the
+    propagator of a disc, so for |z| <= _THETA * rho the tail past order N
+    is at most sum_{m>N} binom(S+m-1, m) _THETA^m.  N is the first order at
+    which the geometric bound on that tail falls to ``tol``.  A ``tol``
+    below the round-off floor N * eps * (1 - _THETA)^(-S) of the sum is
+    refused.
+    """
+    s = sum(float(np.linalg.norm(r, 2)) for r in ode.residues)
+    n, term = 0, s * _THETA  # term = binom(S+n, n+1) _THETA^(n+1)
+    while True:
+        ratio = _THETA * max(1.0, (s + n + 1) / (n + 2))
+        if ratio < 1.0 and term / (1.0 - ratio) <= tol:
+            break
+        n += 1
+        term *= _THETA * (s + n) / (n + 1)
+        if n > _MAX_ORDER:
+            raise ToleranceNotMet(f"no truncation order up to {_MAX_ORDER} meets tolerance {tol:g}")
+    floor = n * np.finfo(float).eps * (1.0 - _THETA) ** -s
+    if tol < floor:
+        raise ToleranceNotMet(
+            f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
+            f"of the order-{n} disc sum"
+        )
+    return n
+
+
+def _disc_propagators(ode: FuchsianODE, discs, order: int) -> np.ndarray:
+    """Phi(z) = sum_{m<=order} G_m with G_m = F_m z^m, F(c) = Id, per disc.
+
+    With u_k = z / (q_k - c), the step-scaled coefficients are
+    z^(i+1) A_i = -sum_k R_k u_k^(i+1), laid out as one block row
+    [z A_0 | z^2 A_1 | ...].  The G_m are stored last-to-first, so
+    G_m, ..., G_0 are contiguous and each order of the recurrence
+    (m+1) G_{m+1} = sum_{i<=m} (z^(i+1) A_i) G_{m-i} is one stacked product.
+    """
+    dim, b = ode.dim, len(discs)
+    centers = np.array([c for c, _ in discs], dtype=complex)
+    steps = np.array([z for _, z in discs], dtype=complex)
+    row = np.zeros((b, order, dim, dim), dtype=complex)
+    for q, r in zip(ode.poles, ode.residues):
+        u = steps / (q - centers)
+        row -= np.cumprod(np.repeat(u[:, None], order, axis=1), axis=1)[..., None, None] * r
+    row = row.transpose(0, 2, 1, 3).reshape(b, dim, order * dim)
+    g = np.zeros((b, (order + 1) * dim, dim), dtype=complex)
+    g[:, order * dim :] = np.eye(dim)
+    for m in range(order):
+        lo = (order - m) * dim
+        g[:, lo - dim : lo] = (row[:, :, : (m + 1) * dim] @ g[:, lo:]) / (m + 1)
+    return g.reshape(b, order + 1, dim, dim).sum(axis=1)
 
 
 def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.ndarray]:
     """Transport F = Id from the first point of each polyline to its last.
 
-    All polylines advance together: each pass makes one Dormand-Prince
-    attempt on every live trajectory, evaluates the coefficient at all their
-    new stage points in one call and combines the stages in one batched
-    product.  The step rule of a trajectory does not depend on the others,
+    The disc chain of a polyline depends only on its geometry, so the
+    propagators of all discs of all polylines are computed as one batch,
+    in chunks of _CHUNK discs, and each polyline then multiplies its own
+    chain.  A disc's propagator does not depend on the rest of its chunk,
     so each result equals the transport of its polyline alone.
     """
-    dim = ode.dim
-    out: list = [np.eye(dim, dtype=complex) for _ in polylines]
-    tracks = [_Track(i, points) for i, points in enumerate(polylines)]
-    live = [tr for tr in tracks if tr.next_segment(ode.poles)]
-    f = np.tile(np.eye(dim, dtype=complex), (len(live), 1, 1))
-    k1 = _first_stages(ode, live, f)
-    while live:
-        b = len(live)
-        h = np.array([tr.h for tr in live])
-        t = np.array([tr.t for tr in live])
-        start = np.array([tr.start for tr in live])
-        d = np.array([tr.d for tr in live])
-        y = start[:, None] + (t[:, None] + _DP_C * h[:, None]) * d[:, None]
-        a = ode.coefficient(y) * d[:, None, None, None]
-        hw = h[:, None, None] * _DP_W
-        k = np.zeros((b, 7, dim, dim), dtype=complex)
-        k[:, 0] = k1
-        kf = k.reshape(b, 7, dim * dim)
-        for i in range(6):
-            fi = f + (hw[:, i : i + 1] @ kf).reshape(b, dim, dim)
-            k[:, i + 1] = a[:, i] @ fi
-        f5 = fi
-        errs = np.abs(hw[:, 6:] @ kf).max(axis=(1, 2), initial=0.0).tolist()
-        fmax = np.abs(f5).max(axis=(1, 2), initial=0.0).tolist()
-        accepted, entered, keep = [], [], []
-        for j, tr in enumerate(live):
-            err, limit = errs[j], tol * max(1.0, fmax[j])
-            if err <= limit:
-                accepted.append(j)
-                tr.t += tr.h
-                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (limit / err) ** 0.2))
-                tr.h = min(max(tr.h * grow, _MIN_STEP), 0.5)
-                if tr.t < 1.0:
-                    tr.begin_step(ode.poles)
-                elif tr.next_segment(ode.poles):
-                    entered.append(j)
-                else:
-                    out[tr.index] = f5[j].copy()
-                    continue
-            else:
-                tr.h *= max(0.1, 0.9 * (limit / err) ** 0.25)
-                if tr.h < _MIN_STEP:
-                    raise StepUnderflow("step size underflow; path too close to a pole")
-            keep.append(j)
-        f[accepted] = f5[accepted]
-        k1[accepted] = k[accepted, 6]
-        if entered:
-            k1[entered] = _first_stages(ode, [live[j] for j in entered], f[entered])
-        if len(keep) < b:
-            live = [live[j] for j in keep]
-            f, k1 = f[keep], k1[keep]
+    order = _taylor_order(ode, tol)
+    chains = [_disc_chain(points, ode.poles) for points in polylines]
+    discs = [disc for chain in chains for disc in chain]
+    phis = [
+        phi
+        for lo in range(0, len(discs), _CHUNK)
+        for phi in _disc_propagators(ode, discs[lo : lo + _CHUNK], order)
+    ]
+    out, at = [], 0
+    for chain in chains:
+        f = np.eye(ode.dim, dtype=complex)
+        for phi in phis[at : at + len(chain)]:
+            f = phi @ f
+        at += len(chain)
+        out.append(f)
     return out
 
 
@@ -287,6 +271,8 @@ def verify_mc_compatibility(
     tol: float = 1e-10,
     iso_tol: float = 1e-6,
     rank_tol: float = 1e-9,
+    *,
+    genericity: GenericityReport | None = None,
 ) -> CompatibilityReport:
     """Check that the multiplicative middle convolution of the fiber tuple
     matches the fiber tuple of the additive middle convolution.
@@ -296,9 +282,10 @@ def verify_mc_compatibility(
     the numeric fixed-space dimensions provably equal the exact additive
     kernel dimensions, so a disagreement certifies that the fiber tuple is
     too ill-conditioned for ``rank_tol`` and raises ToleranceNotMet instead
-    of reporting a bogus verdict.
+    of reporting a bogus verdict.  ``genericity`` is the caller's
+    ``check_assumption_generic(sys, y, lam)``, if it has one.
     """
-    gen = check_assumption_generic(sys, y, lam)
+    gen = check_assumption_generic(sys, y, lam) if genericity is None else genericity
     if not gen.ok:
         raise AssumptionFail(f"integer eigenvalue obstruction: {gen.offenders}")
 
@@ -309,7 +296,8 @@ def verify_mc_compatibility(
     k_cols, l_cols, _ = kernels
     kdim = k_cols.shape[1] if hasattr(k_cols, "shape") else len(k_cols)
     ldim = l_cols.shape[1] if hasattr(l_cols, "shape") else len(l_cols)
-    k_exact, l_exact = kernel_subspaces(sys, y, lam)
+    conv = convolve(sys, y, lam)
+    k_exact, l_exact = conv.block_kernel_basis, conv.diagonal_kernel_basis
     if (kdim, ldim) != (len(k_exact), len(l_exact)):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())
         raise ToleranceNotMet(
@@ -318,7 +306,7 @@ def verify_mc_compatibility(
             f"numbers [{conds}] exceed what the rank threshold {rank_tol:g} resolves"
         )
 
-    mc_sys = middle_convolve(sys, y, lam)
+    mc_sys = conv.middle()
     ext1 = monodromy_tuple_of_system(mc_sys, y, base, tol)
     t_restr = ext1.monodromy
 

@@ -225,6 +225,33 @@ def test_cli_rh_verify(capsys):
     assert rep["stages"]["compatibility_ok"] and rep["stages"]["round_trip_ok"]
 
 
+def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
+    from arrmc import cli, convolution, monodromy, pfaffian
+
+    calls = {"genericity": 0, "kernels": []}
+    genericity, kernels = pfaffian.check_assumption_generic, convolution.kernel_subspaces
+
+    def counting_genericity(*args):
+        calls["genericity"] += 1
+        return genericity(*args)
+
+    def counting_kernels(sys, *args):
+        calls["kernels"].append(sys)
+        return kernels(sys, *args)
+
+    for module in (pfaffian, cli, monodromy):
+        monkeypatch.setattr(module, "check_assumption_generic", counting_genericity)
+    monkeypatch.setattr(convolution, "kernel_subspaces", counting_kernels)
+    code, rep = run_cli(
+        capsys, "rh-verify", corpus("four_lines_system.json"),
+        "--line", "0,1", "--lambda", "1/5", "--base", "2",
+    )
+    assert code == 0 and rep["ok"]
+    assert calls["genericity"] == 1
+    # once for the input, once for the forward system of the round trip
+    assert len(calls["kernels"]) == 2 and calls["kernels"][1] is not calls["kernels"][0]
+
+
 def test_cli_convolve_rejects_bad_line(capsys, tmp_path):
     from arrmc import PfaffianSystem
     from conftest import nongood_pair
