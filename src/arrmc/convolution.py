@@ -133,6 +133,8 @@ def convolve(
     y: LineDirection,
     lam: ConvolutionParameter,
     require_good: bool = True,
+    *,
+    kernels: tuple[tuple[Vector, ...], tuple[Vector, ...]] | None = None,
 ) -> ConvolutionResult:
     """Convolution along the line with the given parameter.
 
@@ -141,6 +143,8 @@ def convolve(
     blockwise diagonally, and each shifted rank-two flat receives the
     antisymmetrized pair contribution.  Contributions landing on the same
     hyperplane (always, for a good line) are summed into a single residue.
+    ``kernels`` is the caller's ``kernel_subspaces(sys, y, lam)``, if it has
+    one; their invariance is asserted either way.
     """
     arr = sys.arrangement
     par, rest = parallel_subarrangement(arr, y)
@@ -226,7 +230,7 @@ def convolve(
         )
     out = PfaffianSystem.make(merged, big, residues, check=True)
 
-    k_cols, l_cols = kernel_subspaces(sys, y, lam)
+    k_cols, l_cols = kernel_subspaces(sys, y, lam) if kernels is None else kernels
     _assert_invariant(out, k_cols, "blockwise kernel")
     _assert_invariant(out, l_cols, "diagonal kernel")
     return ConvolutionResult(out, order, k_cols, l_cols)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve
+from .convolution import convolve, kernel_subspaces
 from .errors import AssumptionFail, StepUnderflow, ToleranceNotMet
 from .fuchsian import FuchsianODE, LoopPath, enclosing_polyline, standard_loops, validate_loop
 from .katz import (
@@ -43,8 +43,9 @@ from .pfaffian import (
     fiber_restriction,
 )
 
-# Each disc step z from a center c satisfies |z| <= _THETA * rho(c), where
-# rho(c) is the distance from c to the nearest pole.
+# Each disc step z from a center c satisfies |z| <= theta * rho(c), where
+# rho(c) is the distance from c to the nearest pole and theta is at most
+# _THETA (see _step_and_order).
 _THETA = 1 / 3
 _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
@@ -52,11 +53,11 @@ _MAX_ORDER = 10_000
 _CHUNK = 16  # discs per batched recurrence; bounds the working set
 
 
-def _disc_chain(points, poles) -> list[tuple[complex, complex]]:
+def _disc_chain(points, poles, theta: float) -> list[tuple[complex, complex]]:
     """(center, step) of every disc along the polyline, in path order.
 
     Each segment a -> b is walked from a with steps of length
-    _THETA * rho(center); the last disc of a segment lands exactly on b.
+    theta * rho(center); the last disc of a segment lands exactly on b.
     """
     discs: list[tuple[complex, complex]] = []
     for a, b in zip(points[:-1], points[1:]):
@@ -67,7 +68,7 @@ def _disc_chain(points, poles) -> list[tuple[complex, complex]]:
         unit = d / seg_len
         c, walked = a, 0.0
         for _ in range(_MAX_STEPS):
-            reach = _THETA * min((abs(c - q) for q in poles), default=math.inf)
+            reach = theta * min((abs(c - q) for q in poles), default=math.inf)
             if reach < _MIN_STEP * seg_len:
                 raise StepUnderflow("step size underflow; path too close to a pole")
             if walked + reach >= seg_len:
@@ -82,33 +83,37 @@ def _disc_chain(points, poles) -> list[tuple[complex, complex]]:
     return discs
 
 
-def _taylor_order(ode: FuchsianODE, tol: float) -> int:
-    """Truncation order N of every disc sum of ``ode`` at ``tol``.
+def _step_and_order(ode: FuchsianODE, tol: float) -> tuple[float, int]:
+    """Step fraction theta and truncation order N of every disc sum of ``ode``.
 
     With S = sum_k ||R_k||_2, the series (1 - z/rho)^(-S) majorizes the
-    propagator of a disc, so for |z| <= _THETA * rho the tail past order N
-    is at most sum_{m>N} binom(S+m-1, m) _THETA^m.  N is the first order at
-    which the geometric bound on that tail falls to ``tol``.  A ``tol``
-    below the round-off floor N * eps * (1 - _THETA)^(-S) of the sum is
-    refused.
+    propagator of a disc with |z| <= theta * rho, term by term.  theta is
+    min(_THETA, 1/S), so the sum of the majorant's terms, (1 - theta)^(-S),
+    stays below 27/8 however large S is: large residues cost more, shorter
+    discs rather than cancellation among large terms.  The tail past order
+    N is at most sum_{m>N} binom(S+m-1, m) theta^m, and N is the first
+    order at which the geometric bound on that tail falls to ``tol``.  A
+    ``tol`` below the round-off floor N * eps * (1 - theta)^(-S) of the sum
+    is refused.
     """
     s = sum(float(np.linalg.norm(r, 2)) for r in ode.residues)
-    n, term = 0, s * _THETA  # term = binom(S+n, n+1) _THETA^(n+1)
+    theta = min(_THETA, 1.0 / s) if s > 0 else _THETA
+    n, term = 0, s * theta  # term = binom(S+n, n+1) theta^(n+1)
     while True:
-        ratio = _THETA * max(1.0, (s + n + 1) / (n + 2))
+        ratio = theta * max(1.0, (s + n + 1) / (n + 2))
         if ratio < 1.0 and term / (1.0 - ratio) <= tol:
             break
         n += 1
-        term *= _THETA * (s + n) / (n + 1)
+        term *= theta * (s + n) / (n + 1)
         if n > _MAX_ORDER:
             raise ToleranceNotMet(f"no truncation order up to {_MAX_ORDER} meets tolerance {tol:g}")
-    floor = n * np.finfo(float).eps * (1.0 - _THETA) ** -s
+    floor = n * np.finfo(float).eps * (1.0 - theta) ** -s
     if tol < floor:
         raise ToleranceNotMet(
             f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
             f"of the order-{n} disc sum"
         )
-    return n
+    return theta, n
 
 
 def _disc_propagators(ode: FuchsianODE, discs, order: int) -> np.ndarray:
@@ -141,25 +146,20 @@ def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.nda
 
     The disc chain of a polyline depends only on its geometry, so the
     propagators of all discs of all polylines are computed as one batch,
-    in chunks of _CHUNK discs, and each polyline then multiplies its own
-    chain.  A disc's propagator does not depend on the rest of its chunk,
-    so each result equals the transport of its polyline alone.
+    in chunks of _CHUNK discs, and each chunk's propagators are multiplied
+    into their polylines' transports before the next chunk is computed.
+    A disc's propagator does not depend on the rest of its chunk, so each
+    result equals the transport of its polyline alone.
     """
-    order = _taylor_order(ode, tol)
-    chains = [_disc_chain(points, ode.poles) for points in polylines]
+    theta, order = _step_and_order(ode, tol)
+    chains = [_disc_chain(points, ode.poles, theta) for points in polylines]
+    owners = [i for i, chain in enumerate(chains) for _ in chain]
     discs = [disc for chain in chains for disc in chain]
-    phis = [
-        phi
-        for lo in range(0, len(discs), _CHUNK)
-        for phi in _disc_propagators(ode, discs[lo : lo + _CHUNK], order)
-    ]
-    out, at = [], 0
-    for chain in chains:
-        f = np.eye(ode.dim, dtype=complex)
-        for phi in phis[at : at + len(chain)]:
-            f = phi @ f
-        at += len(chain)
-        out.append(f)
+    out = [np.eye(ode.dim, dtype=complex) for _ in polylines]
+    for lo in range(0, len(discs), _CHUNK):
+        phis = _disc_propagators(ode, discs[lo : lo + _CHUNK], order)
+        for i, phi in zip(owners[lo : lo + _CHUNK], phis):
+            out[i] = phi @ out[i]
     return out
 
 
@@ -296,8 +296,7 @@ def verify_mc_compatibility(
     k_cols, l_cols, _ = kernels
     kdim = k_cols.shape[1] if hasattr(k_cols, "shape") else len(k_cols)
     ldim = l_cols.shape[1] if hasattr(l_cols, "shape") else len(l_cols)
-    conv = convolve(sys, y, lam)
-    k_exact, l_exact = conv.block_kernel_basis, conv.diagonal_kernel_basis
+    k_exact, l_exact = kernel_subspaces(sys, y, lam)
     if (kdim, ldim) != (len(k_exact), len(l_exact)):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())
         raise ToleranceNotMet(
@@ -306,7 +305,7 @@ def verify_mc_compatibility(
             f"numbers [{conds}] exceed what the rank threshold {rank_tol:g} resolves"
         )
 
-    mc_sys = conv.middle()
+    mc_sys = convolve(sys, y, lam, kernels=(k_exact, l_exact)).middle()
     ext1 = monodromy_tuple_of_system(mc_sys, y, base, tol)
     t_restr = ext1.monodromy
 

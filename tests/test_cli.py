@@ -241,7 +241,8 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
 
     for module in (pfaffian, cli, monodromy):
         monkeypatch.setattr(module, "check_assumption_generic", counting_genericity)
-    monkeypatch.setattr(convolution, "kernel_subspaces", counting_kernels)
+    for module in (convolution, monodromy):
+        monkeypatch.setattr(module, "kernel_subspaces", counting_kernels)
     code, rep = run_cli(
         capsys, "rh-verify", corpus("four_lines_system.json"),
         "--line", "0,1", "--lambda", "1/5", "--base", "2",

@@ -4,8 +4,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arrmc import (
     AssumptionFail,
@@ -255,21 +253,17 @@ def test_transport_matches_tight_dopri_reference():
             assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-entries = st.floats(-0.5, 0.5, allow_nan=False)
-
-
-@st.composite
-def fuchsian_odes(draw):
+def grid_ode(rng):
     """Up to four poles on the grid of step 1/2 in [-2, 2]^2, residues with
     real and imaginary entries in [-1/2, 1/2]."""
-    dim = draw(st.integers(1, 3))
-    grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
-    cells = draw(st.lists(grid, min_size=1, max_size=4, unique=True))
-    poles = tuple(complex(a, b) / 2 for a, b in cells)
-    size = 2 * dim * dim
-    parts = [np.array(draw(st.lists(entries, min_size=size, max_size=size))) for _ in poles]
-    residues = tuple((p[::2] + 1j * p[1::2]).reshape(dim, dim) for p in parts)
-    labels = tuple(f"p{i}" for i in range(len(poles)))
+    dim, npoles = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    cells = rng.choice(81, size=npoles, replace=False)
+    poles = tuple(complex(c // 9 - 4, c % 9 - 4) / 2 for c in cells)
+    residues = tuple(
+        rng.uniform(-0.5, 0.5, (dim, dim)) + 1j * rng.uniform(-0.5, 0.5, (dim, dim))
+        for _ in poles
+    )
+    labels = tuple(f"p{i}" for i in range(npoles))
     return FuchsianODE(poles, residues, labels, complex(0, -6), dim)
 
 
@@ -279,19 +273,46 @@ def non_resonant(r):
     return all(abs(g - round(g.real)) > 1e-3 or round(g.real) == 0 for g in gaps)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(fuchsian_odes())
-def test_lasso_monodromies_match_local_exponents(ode):
-    ext = monodromy_tuple_of_ode(ode, TOL)
-    order = sorted(range(ode.npoles), key=lambda i: (ode.poles[i].real, ode.poles[i].imag))
-    for m, k in zip(ext.monodromy.matrices, order):
-        r = ode.residues[k]
-        expected = cmath.exp(2j * math.pi * np.trace(r))
-        assert abs(np.linalg.det(m) - expected) <= 1e-8 * max(1.0, abs(expected))
-        if non_resonant(r):
-            local = np.poly(np.exp(2j * np.pi * np.linalg.eigvals(r)))
-            assert np.max(np.abs(np.poly(m) - local)) <= 1e-7 * np.max(np.abs(local))
-    assert ext.product_residual <= 1e-8
+def test_lasso_monodromies_match_local_exponents():
+    for seed in range(50):
+        ode = grid_ode(np.random.default_rng(seed))
+        ext = monodromy_tuple_of_ode(ode, TOL)
+        order = sorted(range(ode.npoles), key=lambda i: (ode.poles[i].real, ode.poles[i].imag))
+        for m, k in zip(ext.monodromy.matrices, order):
+            r = ode.residues[k]
+            expected = cmath.exp(2j * math.pi * np.trace(r))
+            assert abs(np.linalg.det(m) - expected) <= 1e-8 * max(1.0, abs(expected))
+            if non_resonant(r):
+                local = np.poly(np.exp(2j * np.pi * np.linalg.eigvals(r)))
+                assert np.max(np.abs(np.poly(m) - local)) <= 1e-7 * np.max(np.abs(local))
+        assert ext.product_residual <= 1e-8
+
+
+def exp_2pi_i(r):
+    ev, p = np.linalg.eig(r)
+    return p @ np.diag(np.exp(2j * np.pi * ev)) @ np.linalg.inv(p)
+
+
+def test_large_residues_match_exp_2pi_i_r():
+    # S = sum_k ||R_k||_2 between 24 and 31.  All residues of one ODE
+    # commute, so each lasso monodromy is exp(2 pi i R_k) itself.
+    c, s = math.cos(0.7), math.sin(0.7)
+    p = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1.5])
+    pi = np.linalg.inv(p)
+    r1 = (p @ np.diag([12.25, 12.75]) @ pi).astype(complex)
+    r2 = (p @ np.diag([3.5, 2.25]) @ pi).astype(complex)
+    odes = (
+        scalar_ode(24.5),
+        scalar_ode(-24.5),
+        scalar_ode(30.25),
+        FuchsianODE((0j,), (2.4 * r1,), ("a",), -2j, 2),
+        FuchsianODE((0j, 1 + 0j), (r1, 2 * r2), ("a", "b"), 0.5 - 2j, 2),
+    )
+    for ode in odes:
+        ext = monodromy_tuple_of_ode(ode, TOL)
+        for m, r in zip(ext.monodromy.matrices, ode.residues):
+            assert np.max(np.abs(np.asarray(m) - exp_2pi_i(r))) <= 1e-8
+        assert ext.product_residual <= 1e-8
 
 
 def test_tolerance_below_round_off_floor_is_refused():
