@@ -3,10 +3,10 @@
 The fundamental matrix F of dF/dy = A(y) F, F(start) = Id, is transported
 along polyline loops by Taylor steps over a chain of discs (after
 Chudnovsky-Chudnovsky 1990 and Mezzarobba 2010).  Each step z from a center
-c satisfies |z| <= rho(c) / 3, rho(c) being the distance to the nearest
-pole, so the majorant (1 - z/rho)^(-S), S = sum_k ||R_k||_2, bounds the
-truncation error a priori: one order per ODE, no step rejection and no
-run-time error estimate.  Transport matrices compose so that the ordered
+c satisfies |z| <= theta * rho(c), rho(c) being the distance to the nearest
+pole and theta = min(1/3, 1/S) with S = sum_k ||R_k||_2, so the majorant
+(1 - z/rho)^(-S) bounds the truncation error a priori: one order per ODE,
+no step rejection and no run-time error estimate.  Transport matrices compose so that the ordered
 product M_1 ... M_n over the standard loops equals the transport around a
 large counterclockwise circle; the monodromy at infinity is its inverse,
 and this identity is checked on every tuple extraction.
@@ -14,7 +14,7 @@ and this identity is checked on every tuple extraction.
 The disc chain depends only on the geometry, so the propagators of all
 discs of all polylines of one extraction are independent: they are
 computed as one batch, a fixed number of discs at a time, with one stacked
-matrix product per order, and each polyline then multiplies its own chain.
+matrix product per order, and each polyline multiplies its own chain.
 """
 
 from __future__ import annotations
