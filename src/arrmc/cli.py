@@ -38,7 +38,6 @@ from .monodromy import monodromy_tuple_of_system, verify_mc_compatibility
 from .pfaffian import (
     ConvolutionParameter,
     check_assumption_generic,
-    check_integrability,
     check_star_conditions,
 )
 from . import serialization as ser
@@ -140,7 +139,7 @@ def _cmd_check(job: JobSpec):
     sys_ = _load_system(job.inputs[0], job.params)
     y = job.params["line"]
     lam = job.params["lambda"]
-    integ = check_integrability(sys_)
+    integ = sys_.integrability
     gen = check_assumption_generic(sys_, y, lam)
     star = check_star_conditions(sys_, y)
     ok = integ.ok and gen.ok and star.ok
@@ -271,7 +270,7 @@ def _cmd_rh_verify(job: JobSpec):
     tol = job.params.get("tol", 1e-10)
     iso_tol = job.params.get("iso_tol", 1e-6)
 
-    integ = check_integrability(sys_)
+    integ = sys_.integrability
     gen = check_assumption_generic(sys_, y, lam)
     star = check_star_conditions(sys_, y)
     stages: dict = {

@@ -13,8 +13,8 @@ and this identity is checked on every tuple extraction.
 
 The disc chain depends only on the geometry, so the propagators of all
 discs of all polylines of one extraction are independent: they are
-computed as one batch, a fixed number of discs at a time, with one stacked
-matrix product per order, and each polyline multiplies its own chain.
+computed as one batch, a fixed number of discs at a time, with one running
+sum per pole in the Taylor recurrence; each polyline multiplies its chain.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _THETA = 1 / 3
 _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
 _MAX_ORDER = 10_000
-_CHUNK = 16  # discs per batched recurrence; bounds the working set
+_CHUNK = 64  # discs per batched recurrence; bounds the working set
 
 
 def _disc_chain(points, poles, theta: float) -> list[tuple[complex, complex]]:
@@ -119,26 +119,27 @@ def _step_and_order(ode: FuchsianODE, tol: float) -> tuple[float, int]:
 def _disc_propagators(ode: FuchsianODE, discs, order: int) -> np.ndarray:
     """Phi(z) = sum_{m<=order} G_m with G_m = F_m z^m, F(c) = Id, per disc.
 
-    With u_k = z / (q_k - c), the step-scaled coefficients are
-    z^(i+1) A_i = -sum_k R_k u_k^(i+1), laid out as one block row
-    [z A_0 | z^2 A_1 | ...].  The G_m are stored last-to-first, so
-    G_m, ..., G_0 are contiguous and each order of the recurrence
-    (m+1) G_{m+1} = sum_{i<=m} (z^(i+1) A_i) G_{m-i} is one stacked product.
+    With u_k = z / (q_k - c), z^(i+1) A_i = -sum_k R_k u_k^(i+1), so the
+    recurrence (m+1) G_{m+1} = sum_{i<=m} (z^(i+1) A_i) G_{m-i} becomes
+    (m+1) G_{m+1} = -[R_1 | ... | R_n] [S_1; ...; S_n] with one running sum
+    per pole, S_k(m) = u_k (G_m + S_k(m-1)): n dim^3 work per disc and order.
+    G and the S_k are kept transposed, so each disc's contraction runs over
+    its own contiguous rows, whatever the other discs of the batch.
     """
-    dim, b = ode.dim, len(discs)
-    centers = np.array([c for c, _ in discs], dtype=complex)
-    steps = np.array([z for _, z in discs], dtype=complex)
-    row = np.zeros((b, order, dim, dim), dtype=complex)
-    for q, r in zip(ode.poles, ode.residues):
-        u = steps / (q - centers)
-        row -= np.cumprod(np.repeat(u[:, None], order, axis=1), axis=1)[..., None, None] * r
-    row = row.transpose(0, 2, 1, 3).reshape(b, dim, order * dim)
-    g = np.zeros((b, (order + 1) * dim, dim), dtype=complex)
-    g[:, order * dim :] = np.eye(dim)
+    dim, n, b = ode.dim, len(ode.poles), len(discs)
+    centers, steps = np.array(discs, dtype=complex).reshape(b, 2).T
+    u = (steps / (np.array(ode.poles, dtype=complex)[:, None] - centers)).T[:, None, :, None]
+    r_cat = np.array(ode.residues, dtype=complex).reshape(n, dim, dim).transpose(1, 0, 2)
+    r_m = r_cat.reshape(dim, n * dim) / -np.arange(1, order + 1)[:, None, None]
+    g = np.broadcast_to(np.eye(dim, dtype=complex), (b, dim, dim))
+    phi = g.copy()
+    s = np.zeros((b, dim, n, dim), dtype=complex)  # s[:, l, k, j] = S_k[j, l]
     for m in range(order):
-        lo = (order - m) * dim
-        g[:, lo - dim : lo] = (row[:, :, : (m + 1) * dim] @ g[:, lo:]) / (m + 1)
-    return g.reshape(b, order + 1, dim, dim).sum(axis=1)
+        s += g[:, :, None]
+        s *= u
+        g = np.einsum("blj,ij->bli", s.reshape(b, dim, n * dim), r_m[m])
+        phi += g
+    return phi.transpose(0, 2, 1)
 
 
 def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.ndarray]:
@@ -146,10 +147,10 @@ def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.nda
 
     The disc chain of a polyline depends only on its geometry, so the
     propagators of all discs of all polylines are computed as one batch,
-    in chunks of _CHUNK discs, and each chunk's propagators are multiplied
-    into their polylines' transports before the next chunk is computed.
-    A disc's propagator does not depend on the rest of its chunk, so each
-    result equals the transport of its polyline alone.
+    in chunks of _CHUNK discs (which bounds the working set), and each
+    chunk is multiplied into its polylines' transports before the next one
+    is computed.  A disc's propagator does not depend on the rest of its
+    chunk, so each result is bitwise the transport of its polyline alone.
     """
     theta, order = _step_and_order(ode, tol)
     chains = [_disc_chain(points, ode.poles, theta) for points in polylines]
@@ -293,9 +294,7 @@ def verify_mc_compatibility(
     character = CharacterValue.from_exponent(lam.value)
     kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
     t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
-    k_cols, l_cols, _ = kernels
-    kdim = k_cols.shape[1] if hasattr(k_cols, "shape") else len(k_cols)
-    ldim = l_cols.shape[1] if hasattr(l_cols, "shape") else len(l_cols)
+    kdim, ldim = (cols.shape[1] for cols in kernels[:2])  # numeric tuple: arrays
     k_exact, l_exact = kernel_subspaces(sys, y, lam)
     if (kdim, ldim) != (len(k_exact), len(l_exact)):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())

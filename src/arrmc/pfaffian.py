@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .linalg import (
     mat_scale,
     shape,
     transpose,
+    zeros,
 )
 
 
@@ -80,13 +82,17 @@ class PfaffianSystem:
     def make(arrangement: Arrangement, dim_e: int, residues, check: bool = True) -> "PfaffianSystem":
         res = {lbl: mat(m) for lbl, m in residues.items()}
         sys = PfaffianSystem(arrangement, dim_e, res)
-        if check:
-            rep = check_integrability(sys)
-            if not rep.ok:
-                raise NonIntegrableInput(
-                    f"integrability fails at flat of rank two (hyperplane {rep.witness[1]})"
-                )
+        if check and not sys.integrability.ok:
+            witness = sys.integrability.witness[1]
+            raise NonIntegrableInput(
+                f"integrability fails at flat of rank two (hyperplane {witness})"
+            )
         return sys
+
+    @cached_property
+    def integrability(self) -> "IntegrabilityReport":
+        """The integrability report, computed on first use and kept."""
+        return check_integrability(self)
 
     def transverse_residues(self, y: LineDirection) -> list[tuple[str, Matrix]]:
         """(label, residue) for hyperplanes not parallel to y, in label order
@@ -95,12 +101,8 @@ class PfaffianSystem:
         return [(h.label, self.residues[h.label]) for h in rest]
 
     def transverse_sum(self, y: LineDirection) -> Matrix:
-        out = tuple(
-            (Fraction(0),) * self.dim_e for _ in range(self.dim_e)
-        )
-        for _, m in self.transverse_residues(y):
-            out = mat_add(out, m)
-        return out
+        residues = (m for _, m in self.transverse_residues(y))
+        return reduce(mat_add, residues, zeros(self.dim_e, self.dim_e))
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,7 @@ def check_integrability(sys: PfaffianSystem) -> IntegrabilityReport:
         labels = sorted(x.containing)
         if len(labels) < 2:
             continue
-        total = sys.residues[labels[0]]
-        for lbl in labels[1:]:
-            total = mat_add(total, sys.residues[lbl])
+        total = reduce(mat_add, (sys.residues[lbl] for lbl in labels))
         for lbl in labels:
             if not is_zero_matrix(commutator(sys.residues[lbl], total)):
                 return IntegrabilityReport(False, (x, lbl))

@@ -253,6 +253,38 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
     assert len(calls["kernels"]) == 2 and calls["kernels"][1] is not calls["kernels"][0]
 
 
+def test_cli_checks_input_integrability_once(capsys, monkeypatch, tmp_path):
+    from arrmc import Arrangement, Hyperplane, PfaffianSystem, cli, pfaffian
+
+    checked = []
+    original = pfaffian.check_integrability
+
+    def counting(sys):
+        checked.append(sys)
+        return original(sys)
+
+    for module in (pfaffian, cli):
+        monkeypatch.setattr(module, "check_integrability", counting, raising=False)
+    arr = Arrangement.make(
+        2, [Hyperplane.make([1, 0], 0, "a"), Hyperplane.make([0, 1], 0, "b")]
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(ser.dumps(ser.system_to_json(PfaffianSystem.make(
+        arr, 2, {"a": [[0, 1], [0, 0]], "b": [[0, 0], [1, 0]]}, check=False
+    ))))
+    system, line = corpus("four_lines_system.json"), ("--line", "0,1", "--lambda", "1/5")
+    for expected, argv in (
+        (0, ("check", system, *line)),
+        (0, ("rh-verify", system, *line, "--base", "2")),
+        (1, ("check", str(bad), *line, "--unchecked")),
+    ):
+        checked.clear()
+        code, _ = run_cli(capsys, *argv)
+        assert code == expected
+        # the first check is the input's; the round trip checks other systems
+        assert sum(s is checked[0] for s in checked) == 1, argv
+
+
 def test_cli_convolve_rejects_bad_line(capsys, tmp_path):
     from arrmc import PfaffianSystem
     from conftest import nongood_pair

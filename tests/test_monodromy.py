@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +21,13 @@ from arrmc import (
 )
 from arrmc import katz, monodromy
 from arrmc.fuchsian import enclosing_polyline, lasso_loop, standard_loops, winding_number
-from arrmc.monodromy import _transport_polylines, monodromy_tuple_of_ode
+from arrmc.monodromy import (
+    _disc_chain,
+    _disc_propagators,
+    _step_and_order,
+    _transport_polylines,
+    monodromy_tuple_of_ode,
+)
 
 from conftest import Y_AXIS, four_lines_system, kz_system
 
@@ -239,6 +246,84 @@ def test_batched_transport_equals_each_polyline_alone():
         for points, m in zip(polylines, together):
             alone = _transport_polylines(ode, [points], TOL)[0]
             assert np.array_equal(m, alone)
+
+
+# The block-row recurrence that the pole-wise one replaced, kept as an
+# independent reference: the step-scaled coefficients
+# z^(i+1) A_i = -sum_k R_k u_k^(i+1) laid out as one block row, and each order
+# (m+1) G_{m+1} = sum_{i<=m} (z^(i+1) A_i) G_{m-i} one product over all earlier G.
+def _block_row_propagators(ode, discs, order):
+    dim, b = ode.dim, len(discs)
+    centers = np.array([c for c, _ in discs], dtype=complex)
+    steps = np.array([z for _, z in discs], dtype=complex)
+    row = np.zeros((b, order, dim, dim), dtype=complex)
+    for q, r in zip(ode.poles, ode.residues):
+        u = steps / (q - centers)
+        row -= np.cumprod(np.repeat(u[:, None], order, axis=1), axis=1)[..., None, None] * r
+    row = row.transpose(0, 2, 1, 3).reshape(b, dim, order * dim)
+    g = np.zeros((b, (order + 1) * dim, dim), dtype=complex)
+    g[:, order * dim :] = np.eye(dim)
+    for m in range(order):
+        lo = (order - m) * dim
+        g[:, lo - dim : lo] = (row[:, :, : (m + 1) * dim] @ g[:, lo:]) / (m + 1)
+    return g.reshape(b, order + 1, dim, dim).sum(axis=1)
+
+
+def reference_odes():
+    rng = np.random.default_rng(13)
+    zero = np.zeros((2, 2))
+    big = 2.0 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return (
+        FuchsianODE((0j, 1 + 0j), (np.zeros((0, 0)),) * 2, ("a", "b"), -2j, 0),  # rank 0
+        FuchsianODE((0j,), (0.4 * rng.normal(size=(3, 3)) + 0j,), ("a",), -2j, 3),  # one pole
+        FuchsianODE((0j, 2 + 0j), (zero, zero), ("a", "b"), -3j, 2),  # order 0
+        FuchsianODE((0j, 1 + 1j), (big, -big.T), ("a", "b"), -2j, 2),  # S > 3
+        *(random_ode(rng, dim, npoles) for dim, npoles in RANDOM_SHAPES),
+    )
+
+
+def test_pole_wise_recurrence_matches_block_rows():
+    thetas, orders = [], []
+    for ode in reference_odes():
+        theta, order = _step_and_order(ode, TOL)
+        thetas.append(theta)
+        orders.append(order)
+        discs = [d for pl in tuple_polylines(ode) for d in _disc_chain(pl, ode.poles, theta)]
+        got = _disc_propagators(ode, discs, order)
+        ref = _block_row_propagators(ode, discs, order)
+        assert got.shape == ref.shape == (len(discs), ode.dim, ode.dim)
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=0.0)
+    assert 0 in orders and min(thetas) < 1 / 3
+
+
+def test_transport_of_a_full_chunk_and_one_more_disc_matches_block_rows():
+    # segments shorter than every step, so each segment is one disc
+    ode = random_ode(np.random.default_rng(14), 2, 3)
+    theta, order = _step_and_order(ode, TOL)
+    for count in (monodromy._CHUNK, monodromy._CHUNK + 1):
+        points = tuple(3 + 3j + 0.05j * k for k in range(count + 1))
+        half = count // 2
+        for polylines in ([points], [points[: half + 1], points[half:]]):
+            chains = [_disc_chain(pl, ode.poles, theta) for pl in polylines]
+            assert sum(len(chain) for chain in chains) == count
+            for chain, m in zip(chains, _transport_polylines(ode, polylines, TOL)):
+                ref = np.eye(2, dtype=complex)
+                for phi in _block_row_propagators(ode, chain, order):
+                    ref = phi @ ref
+                assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_transport_working_set_is_bounded():
+    # rank 4, 4 poles: the block-row recurrence, 16 discs at a time, peaked
+    # at about 360 KB on this extraction
+    ode = random_ode(np.random.default_rng(3), 4, 4)
+    tracemalloc.start()
+    try:
+        monodromy_tuple_of_ode(ode, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320_000
 
 
 def test_transport_matches_tight_dopri_reference():
