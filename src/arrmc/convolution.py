@@ -210,17 +210,21 @@ def convolve(
         _accumulate(t, p1, p1, a2, d)
         _accumulate(t, p1, p2, mat_scale(a2, Fraction(-1)), d)
 
-    hyperplanes = list(arr.hyperplanes)
-    used_labels = set(by_label)
-    counter = 0
-    for key in sorted(new_keys):
-        counter += 1
-        while f"S{counter}" in used_labels:
+    # without new hyperplanes (always, on a good line) the input arrangement
+    # is the convolution's, and its cached poset is shared
+    merged = arr
+    if new_keys:
+        hyperplanes = list(arr.hyperplanes)
+        used_labels = set(by_label)
+        counter = 0
+        for key in sorted(new_keys):
             counter += 1
-        lbl = f"S{counter}"
-        used_labels.add(lbl)
-        hyperplanes.append(Hyperplane(key[0], key[1], lbl))
-    merged = Arrangement.make(arr.ambient_dim, hyperplanes)
+            while f"S{counter}" in used_labels:
+                counter += 1
+            lbl = f"S{counter}"
+            used_labels.add(lbl)
+            hyperplanes.append(Hyperplane(key[0], key[1], lbl))
+        merged = Arrangement.make(arr.ambient_dim, hyperplanes)
 
     residues = {}
     for h in merged.hyperplanes:

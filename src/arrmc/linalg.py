@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of row tuples of ``fractions.Fraction``; the
-one-variable polynomials used by the pencil tests are tuples of coefficients
-in increasing degree order (the zero polynomial is the empty tuple).
-Everything here is exact; floating point never enters.
+characteristic polynomials read by the integer eigenvalue search are tuples
+of coefficients in increasing degree order (the zero polynomial is the
+empty tuple).  Everything here is exact; floating point never enters.
 
 Row reduction runs on integers.  ``_integer_rows`` scales each row by the
 lcm of its denominators, which keeps the row space, and ``_echelon``
@@ -14,12 +14,16 @@ echelon form and builds no ``Fraction``; ``rref`` back-substitutes on the
 integer rows and makes ``Fraction`` entries only for its output.  Both
 choose pivots left to right, and the reduced form is unique, so callers
 see the canonical rows over Q.
+
+Two tests of the middle convolution reuse that elimination.
+``kernel_pencil_ok``, the star test, grows an observability row space on
+integer rows.  ``quotient`` reads a quotient off the one rref that
+``extend_to_basis`` runs, with no change of basis and no inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .errors import InternalError
@@ -294,95 +298,8 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     return out
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def poly_monic(p: Poly) -> Poly:
-    p = poly_trim(p)
-    if not p:
-        return ()
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    a = list(poly_trim(a))
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial modulo zero")
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and a:
-        f = a[-1] / lead
-        sh = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[sh + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) is the zero polynomial."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    return poly_monic(a)
-
-
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
-    out: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        term: Poly = (yi,)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = poly_mul(term, (-xj / (xi - xj), 1 / (xi - xj)))
-        out = poly_trim(
-            tuple(
-                (out[k] if k < len(out) else Fraction(0))
-                + (term[k] if k < len(term) else Fraction(0))
-                for k in range(max(len(out), len(term)))
-            )
-        )
-    return out
-
-
-def pencil_minor_gcd(c: Matrix, d: Matrix) -> Poly:
-    """Gcd of all maximal minors of the pencil ``c + t*d``.
-
-    ``c`` and ``d`` share a shape (rows x w, rows >= w).  Each maximal minor
-    is a polynomial in t of degree <= w, recovered by evaluating the exact
-    determinant at w+1 sample points and interpolating.  A nonzero constant
-    gcd certifies that the pencil has full column rank for every complex t.
-    """
-    nrows, w = shape(c)
-    if w == 0:
-        return (Fraction(1),)
-    if nrows < w:
-        return ()
-    samples = [Fraction(k) for k in range(w + 1)]
-    g: Poly = ()
-    for rows_idx in combinations(range(nrows), w):
-        pts = []
-        for t in samples:
-            sub = tuple(
-                tuple(c[i][j] + t * d[i][j] for j in range(w)) for i in rows_idx
-            )
-            pts.append((t, det(sub)))
-        minor = lagrange_interpolate(pts)
-        g = poly_gcd(g, minor)
-        if poly_degree(g) == 0:
-            return g
-    return g
+# ---------------------------------------------------------------------------
+# joint kernels and the eigenvector test on them
 
 
 def joint_kernel(mats: list[Matrix], dim: int) -> list[Vector]:
@@ -392,12 +309,36 @@ def joint_kernel(mats: list[Matrix], dim: int) -> list[Vector]:
 
 def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
     """True iff no complex t admits a nonzero v with mats[idx] v = -t v
-    inside the joint kernel of the other matrices."""
-    w_basis = joint_kernel([m for j, m in enumerate(mats) if j != idx], dim)
-    if not w_basis:
-        return True
-    b = transpose(tuple(w_basis))
-    return poly_degree(pencil_minor_gcd(mat_mul(mats[idx], b), b)) == 0
+    inside the joint kernel of the other matrices.
+
+    Such a v is an eigenvector of A = mats[idx] inside the joint kernel W of
+    the others, and W holds one iff its largest A-invariant subspace is
+    nonzero.  That subspace is the unobservable subspace of (C, A), with C
+    the other matrices stacked, so the test is the Popov-Belevitch-Hautus
+    rank test: the rows of C, C A, C A^2, ... span all ``dim`` coordinates.
+    Their row space O grows as rowspace(C and O A) until its rank stops
+    growing, at most ``dim`` rounds of one integer elimination each; A is
+    scaled by the lcm of its denominators, which keeps every O A.
+    """
+    a = mats[idx]
+    den = lcm(*[x.denominator for r in a for x in r])
+    a_int = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x] for r in a]
+    others = tuple(r for j, m in enumerate(mats) if j != idx for r in m)
+    obs, _ = _echelon(_integer_rows(others))
+    while len(obs) < dim:
+        images = []
+        for row in obs:
+            acc = [0] * dim
+            for x, arow in zip(row, a_int):
+                if x:
+                    for j, y in arow:
+                        acc[j] += x * y
+            images.append(acc)
+        grown, _ = _echelon(obs + images)
+        if len(grown) == len(obs):
+            return False
+        obs = grown
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -464,40 +405,65 @@ def in_span(v: Vector, cols: list[Vector]) -> bool:
     return rank(base) == rank(base + (v,))
 
 
+def _reduced_span(cols: list[Vector], dim: int) -> tuple[Matrix, list[int], list[int]]:
+    """A reduced basis of span(``cols``), the coordinates it is the identity
+    on, and the complementary coordinates.
+
+    The basis is the rref of the reversed columns, read back in order: its
+    r-th vector is 1 at ``skipped[r]`` and 0 at every other skipped
+    coordinate.  Coordinate j is skipped exactly when e_j lies in the span of
+    ``cols`` and e_0, ..., e_(j-1): those j are the pivots of the reversed
+    echelon form.  The rest, in index order, is the complement.
+    """
+    red, pivots = rref(tuple(tuple(reversed(c)) for c in cols))
+    if len(pivots) != len(cols):
+        raise InternalError("columns are linearly dependent")
+    skipped = [dim - 1 - p for p in pivots]
+    taken = set(skipped)
+    basis = tuple(tuple(reversed(r)) for r in red)
+    return basis, skipped, [j for j in range(dim) if j not in taken]
+
+
 def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing the independent
     ``cols`` to a basis.
 
-    Greedy in index order; deterministic.  e_j is skipped exactly when it
-    lies in the span of ``cols`` and e_0, ..., e_(j-1), i.e. when coordinate
-    j raises the rank of ``cols`` restricted to coordinates j, ..., dim-1:
-    those j are the pivots of the echelon form of the reversed columns.
+    Greedy in index order; deterministic: e_j is chosen exactly when it does
+    not lie in the span of ``cols`` and e_0, ..., e_(j-1).
     """
-    _, pivots = rref(tuple(tuple(reversed(c)) for c in cols))
-    if len(pivots) != len(cols):
-        raise InternalError("columns are linearly dependent")
-    skipped = {dim - 1 - p for p in pivots}
-    return [j for j in range(dim) if j not in skipped]
+    return _reduced_span(cols, dim)[2]
 
 
 def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
     """Action of each dim x dim matrix on C^dim / span(cols).
 
-    The quotient is presented on the complement spanned by the standard
-    basis vectors that ``extend_to_basis`` chooses.  Raises InternalError
-    when ``cols`` are dependent or their span is not invariant.
+    The quotient is presented on the complement C spanned by the standard
+    basis vectors that ``extend_to_basis`` chooses.  With B the reduced
+    basis of span(cols), the identity on the skipped coordinates S, the
+    class of v has coordinates v[C] - B[C,:] v[S]; that projection Pi is
+    [1 on C | -B[C,:] on S].  The quotient Q of M is the columns C of Pi M,
+    and span(cols) is invariant iff Pi M B = 0, which reads
+    (Pi M)[:, S] + Q B[C,:] = 0 as B is the identity on S.  Raises
+    InternalError when ``cols`` are dependent or their span is not
+    invariant.
     """
-    comp = extend_to_basis(cols, dim)
-    std = identity(dim)
-    p = from_columns(list(cols) + [std[j] for j in comp], dim)
-    p_inv = mat_inverse(p)
-    cut = len(cols)
+    basis, skipped, comp = _reduced_span(cols, dim)
+    b_comp = tuple(tuple(b[c] for b in basis) for c in comp)
+    proj = []
+    for c, coeffs in zip(comp, b_comp):
+        row = [Fraction(0)] * dim
+        row[c] = Fraction(1)
+        for s, x in zip(skipped, coeffs):
+            row[s] = -x
+        proj.append(tuple(row))
     out = []
     for m in mats:
-        q = mat_mul(p_inv, mat_mul(m, p))
-        if any(q[i][j] != 0 for i in range(cut, dim) for j in range(cut)):
+        pm = mat_mul(proj, m)
+        q = tuple(tuple(r[c] for c in comp) for r in pm)
+        on_span = mat_add(mat_mul(q, b_comp), tuple(tuple(r[s] for s in skipped) for r in pm))
+        if not is_zero_matrix(on_span):
             raise InternalError("span is not invariant; quotient ill-defined")
-        out.append(tuple(r[cut:] for r in q[cut:]))
+        out.append(q)
     return out
 
 

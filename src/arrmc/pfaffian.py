@@ -117,7 +117,10 @@ def check_integrability(sys: PfaffianSystem) -> IntegrabilityReport:
     The wedge square of the coefficient form vanishes iff for every rank-two
     flat X and every hyperplane H containing X, the residue of H commutes
     with the sum of the residues of all hyperplanes containing X.  Parallel
-    pairs drop out because their differentials are proportional.
+    pairs drop out because their differentials are proportional.  The
+    commutators with the flat's sum add up to zero, so the last label's is
+    minus the sum of the others and is not computed: when it is nonzero, an
+    earlier label already fails, and the witness is the same.
     """
     if sys.dim_e <= 1:
         return IntegrabilityReport(True)
@@ -126,7 +129,7 @@ def check_integrability(sys: PfaffianSystem) -> IntegrabilityReport:
         if len(labels) < 2:
             continue
         total = reduce(mat_add, (sys.residues[lbl] for lbl in labels))
-        for lbl in labels:
+        for lbl in labels[:-1]:
             if not is_zero_matrix(commutator(sys.residues[lbl], total)):
                 return IntegrabilityReport(False, (x, lbl))
     return IntegrabilityReport(True)
@@ -164,8 +167,10 @@ class StarReport:
 def check_star_conditions(sys: PfaffianSystem, y: LineDirection) -> StarReport:
     """Kernel and image genericity for every transverse hyperplane.
 
-    The kernel condition is tested by a pencil of maximal minors; the image
-    condition is the same test applied to the transposed system.
+    The kernel condition at H asks that the joint kernel of the other
+    transverse residues hold no eigenvector of A_H; ``kernel_pencil_ok``
+    decides it by one observability rank.  The image condition is the same
+    test applied to the transposed system.
     """
     res = sys.transverse_residues(y)
     mats = [m for _, m in res]

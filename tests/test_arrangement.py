@@ -10,8 +10,10 @@ from arrmc import (
     Hyperplane,
     InputError,
     LineDirection,
+    PfaffianSystem,
     build_intersection_poset,
     cone,
+    convolve,
     decone,
     fiber_points,
     goodness_fiber_oracle,
@@ -78,10 +80,31 @@ def test_middle_convolve_builds_each_poset_once(monkeypatch):
     corpus = Path(__file__).parent / "corpus" / "four_lines_system.json"
     sys_ = serialization.system_from_json(serialization.load_path(str(corpus)))
     out = middle_convolve(sys_, Y_AXIS, ConvolutionParameter.make(F(1, 5)))
-    # one poset for the input and one for the enlarged arrangement of the
-    # convolution, which the quotient shares
-    assert len({id(a) for a in built}) == len(built) == 2
-    assert built[0] is sys_.arrangement and built[1] is out.arrangement
+    # a good line adds no hyperplane: the convolution and its quotient live
+    # on the input arrangement and share its poset
+    assert len(built) == 1
+    assert built[0] is sys_.arrangement
+    assert out.arrangement is sys_.arrangement
+
+
+def test_convolve_off_a_good_line_builds_the_enlarged_poset(monkeypatch):
+    built = []
+    original = arrangement.build_intersection_poset
+
+    def counting(arr):
+        built.append(arr)
+        return original(arr)
+
+    monkeypatch.setattr(arrangement, "build_intersection_poset", counting)
+    corpus = Path(__file__).parent / "corpus" / "nongood_arrangement.json"
+    arr = serialization.arrangement_from_json(serialization.load_path(str(corpus)))
+    sys_ = PfaffianSystem.make(arr, 1, {"y": [[F(1, 2)]], "d": [[F(1, 3)]]})
+    cr = convolve(sys_, Y_AXIS, ConvolutionParameter.make(F(1, 5)), require_good=False)
+    # the shift of the origin adds x = 0, so the convolution needs a new
+    # arrangement, and its integrability check builds that poset once
+    enlarged = cr.system.arrangement
+    assert enlarged is not arr and len(enlarged) == len(arr) + 1
+    assert [a is enlarged for a in built] == [True]
 
 
 def test_poset_empty_arrangement():

@@ -1,33 +1,42 @@
+import itertools
 import random
 import signal
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
+from arrmc import ConvolutionParameter, convolve
 from arrmc.errors import InternalError
 from arrmc.linalg import (
     charpoly,
     det,
     extend_to_basis,
     find_invertible_combination,
+    from_columns,
     identity,
     integer_eigenvalues,
     intertwiner_space,
-    lagrange_interpolate,
+    joint_kernel,
+    kernel_pencil_ok,
     mat,
     mat_inverse,
+    mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
     nullspace,
-    pencil_minor_gcd,
     poly_degree,
     poly_eval,
-    poly_gcd,
-    poly_mul,
+    poly_trim,
     quotient,
     rank,
     rref,
     transpose,
+    zeros,
 )
+
+from conftest import X_AXIS_1D, composition_corpus, line_system
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
@@ -139,6 +148,85 @@ def test_integer_eigenvalues_vs_exhaustive_singularity_scan():
         assert integer_eigenvalues(m) == expected
 
 
+# Reference for the star test: the gcd of the maximal minors of the pencil
+# (A + t) B, B a basis of the joint kernel W of the other matrices, each minor
+# interpolated from exact determinants.  Exponential in dim W, so only for
+# small cases.
+
+
+def poly_mul(p, q):
+    p, q = poly_trim(p), poly_trim(q)
+    if not p or not q:
+        return ()
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def poly_mod(a, b):
+    a, b = list(poly_trim(a)), poly_trim(b)
+    while a and len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = list(poly_trim(a))
+    return tuple(a)
+
+
+def poly_gcd(a, b):
+    """Monic gcd; gcd(0, 0) is the zero polynomial."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_mod(a, b)
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def lagrange_interpolate(points):
+    out = ()
+    for i, (xi, yi) in enumerate(points):
+        term = (yi,)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = poly_mul(term, (-xj / (xi - xj), 1 / (xi - xj)))
+        width = max(len(out), len(term))
+        out = poly_trim(
+            tuple(
+                (out[k] if k < len(out) else F(0)) + (term[k] if k < len(term) else F(0))
+                for k in range(width)
+            )
+        )
+    return out
+
+
+def pencil_minor_gcd(c, d):
+    """Gcd of the maximal minors of the rows x w pencil c + t d, rows >= w."""
+    nrows, w = len(c), len(c[0]) if c else 0
+    if w == 0:
+        return (F(1),)
+    samples = [F(k) for k in range(w + 1)]
+    g = ()
+    for rows_idx in itertools.combinations(range(nrows), w):
+        pts = [
+            (t, det(tuple(tuple(c[i][j] + t * d[i][j] for j in range(w)) for i in rows_idx)))
+            for t in samples
+        ]
+        g = poly_gcd(g, lagrange_interpolate(pts))
+        if poly_degree(g) == 0:
+            break
+    return g
+
+
+def reference_kernel_pencil_ok(mats, idx, dim):
+    w_basis = joint_kernel([m for j, m in enumerate(mats) if j != idx], dim)
+    if not w_basis:
+        return True
+    b = transpose(tuple(w_basis))
+    return poly_degree(pencil_minor_gcd(mat_mul(mats[idx], b), b)) == 0
+
+
 def test_poly_gcd():
     # (x-1)(x-2) and (x-1)(x-3) share (x-1)
     p = poly_mul((F(-1), F(1)), (F(-2), F(1)))
@@ -157,24 +245,85 @@ def test_lagrange_interpolation():
 
 
 def test_pencil_minor_gcd_full_rank():
-    # (A + t) restricted to the column span(e1): minors t and 1 are coprime
+    # W = ker(other) = span(e1), and e1 is no eigenvector of the swap a:
+    # the minors t and 1 of (a + t) e1 are coprime
     a = mat([[0, 1], [1, 0]])
+    other = mat([[0, 0], [0, 1]])
     b = mat([[1], [0]])
-    g = pencil_minor_gcd(mat_mul(a, b), b)
-    assert poly_degree(g) == 0
+    assert poly_degree(pencil_minor_gcd(mat_mul(a, b), b)) == 0
+    assert kernel_pencil_ok([a, other], 0, 2)
+    assert reference_kernel_pencil_ok([a, other], 0, 2)
 
 
 def test_pencil_minor_gcd_detects_shared_root():
-    a = mat([[1, 0], [0, 1]])
-    b = identity(2)
+    a = identity(2)
     # (A + t) singular at t = -1: single maximal minor det(A + t) = (1+t)^2
-    g = pencil_minor_gcd(a, b)
+    g = pencil_minor_gcd(a, identity(2))
     assert poly_degree(g) >= 1
     assert poly_eval(g, F(-1)) == 0
+    # with no other matrix W is everything, and every vector is an
+    # eigenvector of the identity
+    assert not kernel_pencil_ok([a], 0, 2)
+    assert not reference_kernel_pencil_ok([a], 0, 2)
 
 
 def test_pencil_empty_basis_vacuous():
     assert pencil_minor_gcd((), ()) == (F(1),)
+    # an invertible other matrix leaves W = 0, and so does dimension 0
+    a = mat([[0, 1], [0, 0]])
+    assert kernel_pencil_ok([a, identity(2)], 0, 2)
+    assert kernel_pencil_ok([(), ()], 1, 0)
+    assert kernel_pencil_ok([()], 0, 0)
+
+
+def low_rank(rng, d):
+    r = rng.randint(0, d)
+    if r == 0:
+        return zeros(d, d)
+    return mat_mul(sparse_rational(rng, d, r, 0.3), sparse_rational(rng, r, d, 0.3))
+
+
+def with_shared_eigenvector(rng, mats, idx):
+    """The tuple conjugated so that one vector lies in the joint kernel of
+    all matrices but ``mats[idx]``, and is an eigenvector of that one."""
+    d = len(mats[0])
+    p = _invertible(rng, d)
+    p_inv = mat_inverse(p)
+    eig = F(rng.randint(-2, 2), rng.randint(1, 3))
+    out = []
+    for j, m in enumerate(mats):
+        rows = [list(r) for r in m]
+        for i in range(d):
+            rows[i][0] = eig if (j == idx and i == 0) else F(0)
+        out.append(mat_mul(p, mat_mul(tuple(tuple(r) for r in rows), p_inv)))
+    return out
+
+
+def test_kernel_pencil_ok_matches_minor_gcd_reference():
+    rng = random.Random(2011)
+    checks = failing = 0
+    seen = set()
+    for case in range(300):
+        d = rng.randint(0, 5)
+        count = rng.randint(1, 4)
+        mats = [low_rank(rng, d) for _ in range(count)]
+        if d and case % 3 == 0:
+            mats = with_shared_eigenvector(rng, mats, rng.randrange(count))
+        if d and case % 7 == 0:
+            # an invertible other matrix: the joint kernel is 0
+            mats.append(_invertible(rng, d))
+        for side in (mats, [transpose(m) for m in mats]):
+            for idx in range(len(side)):
+                ok = kernel_pencil_ok(side, idx, d)
+                assert ok == reference_kernel_pencil_ok(side, idx, d)
+                checks += 1
+                failing += not ok
+                seen.add((d, len(side) == 1, ok))
+    assert checks >= 1000
+    assert 0.2 * checks < failing < 0.8 * checks
+    # dimension 0, a lone matrix, and both verdicts with and without others
+    assert (0, False, True) in seen and (0, True, True) in seen
+    assert {(3, True, False), (3, False, True), (3, False, False)} <= seen
 
 
 def test_intertwiner_space_and_search():
@@ -204,6 +353,80 @@ def test_quotient_refuses_non_invariant_span():
 def test_quotient_refuses_dependent_columns():
     with pytest.raises(InternalError, match="dependent"):
         quotient([identity(2)], [(F(1), F(2)), (F(2), F(4))], 2)
+
+
+def reference_quotient(mats, cols, dim):
+    """The lower-right block of P^-1 M P, P = [cols | the chosen e_j]."""
+    comp = extend_to_basis(cols, dim)
+    std = identity(dim)
+    p = from_columns(list(cols) + [std[j] for j in comp], dim)
+    p_inv = mat_inverse(p)
+    cut = len(cols)
+    out = []
+    for m in mats:
+        q = mat_mul(p_inv, mat_mul(m, p))
+        if any(q[i][j] != 0 for i in range(cut, dim) for j in range(cut)):
+            raise InternalError("span is not invariant; quotient ill-defined")
+        out.append(tuple(r[cut:] for r in q[cut:]))
+    return out
+
+
+def quotient_or_refusal(quotient_fn, mats, cols, dim):
+    try:
+        return quotient_fn(mats, cols, dim)
+    except InternalError as exc:
+        return str(exc)
+
+
+def test_quotient_matches_change_of_basis_reference_on_invariant_spans():
+    rng = random.Random(2012)
+    kept = refused = 0
+    for case in range(150):
+        dim = rng.randint(1, 7)
+        k = rng.randint(0, dim)
+        p = _invertible(rng, dim)
+        p_inv = mat_inverse(p)
+        cols = list(transpose(p)[:k])
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            # block upper triangular in the basis p: span(cols) is invariant
+            m = sparse_rational(rng, dim, dim, 0.4)
+            if case % 5:
+                m = tuple(
+                    tuple(F(0) if i >= k > j else x for j, x in enumerate(r))
+                    for i, r in enumerate(m)
+                )
+            mats.append(mat_mul(p, mat_mul(m, p_inv)))
+        got = quotient_or_refusal(quotient, mats, cols, dim)
+        assert got == quotient_or_refusal(reference_quotient, mats, cols, dim)
+        if isinstance(got, str):
+            refused += 1
+        else:
+            kept += 1
+    assert kept > 100 and refused > 10
+
+
+def test_quotient_matches_change_of_basis_reference_on_convolutions():
+    rng = random.Random(2013)
+    lam = ConvolutionParameter.make(F(1, 5))
+    cases = composition_corpus()
+    for _ in range(40):
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        mats = [low_rank(rng, d) for _ in range(n)]
+        if rng.random() < 0.5:
+            # residue sum + lambda of low rank: the diagonal kernel is nonzero
+            rest = reduce(mat_add, mats[1:], mat_scale(identity(d), lam.value))
+            mats[0] = mat_sub(low_rank(rng, d), rest)
+        cases.append((line_system(list(range(n)), mats), X_AXIS_1D))
+    both = 0
+    for sys_, y in cases:
+        cr = convolve(sys_, y, lam)
+        kl = list(cr.block_kernel_basis) + list(cr.diagonal_kernel_basis)
+        mats = list(cr.system.residues.values())
+        big = cr.system.dim_e
+        assert quotient(mats, kl, big) == reference_quotient(mats, kl, big)
+        both += bool(cr.block_kernel_basis) and bool(cr.diagonal_kernel_basis)
+    assert both >= 5
 
 
 def dense_mat_mul(a, b):

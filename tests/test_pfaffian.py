@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from arrmc import (
     dual_system,
     fiber_restriction,
 )
-from arrmc.linalg import commutator, is_zero_matrix
+from arrmc.linalg import commutator, is_zero_matrix, mat_add
 
 from conftest import (
     Y_AXIS,
@@ -66,6 +67,52 @@ def test_integrability_failure_witness():
     assert flat.rank == 2 and lbl in ("a", "b")
     with pytest.raises(NonIntegrableInput):
         PfaffianSystem.make(arr, 2, residues)
+
+
+def full_loop_integrability_witness(sys):
+    """Reference: the commutator of every label of a rank-two flat with the
+    flat's sum, the last label included; the first failure or None."""
+    if sys.dim_e <= 1:
+        return None
+    for x in sys.arrangement.poset.rank_two():
+        labels = sorted(x.containing)
+        if len(labels) < 2:
+            continue
+        total = functools.reduce(mat_add, (sys.residues[lbl] for lbl in labels))
+        for lbl in labels:
+            if not is_zero_matrix(commutator(sys.residues[lbl], total)):
+                return (x, lbl)
+    return None
+
+
+def test_integrability_witness_matches_full_loop_reference():
+    rng = random.Random(29)
+    failing = 0
+    for _ in range(40):
+        # lines through the origin meet in one flat of several labels
+        count = rng.randint(3, 5)
+        hs, seen = [], set()
+        while len(hs) < count:
+            coeffs = [rng.randint(-2, 2), rng.randint(-2, 2)]
+            if not any(coeffs):
+                continue
+            h = H(coeffs, rng.choice([0, 0, 1]), f"h{len(hs)}")
+            if (h.coeffs, h.constant) not in seen:
+                seen.add((h.coeffs, h.constant))
+                hs.append(h)
+        arr = Arrangement.make(2, hs)
+        d_e = rng.randint(2, 3)
+        residues = {
+            h.label: [[F(rng.randint(-2, 2)) for _ in range(d_e)] for _ in range(d_e)]
+            for h in arr.hyperplanes
+        }
+        sys = PfaffianSystem.make(arr, d_e, residues, check=False)
+        rep = check_integrability(sys)
+        reference = full_loop_integrability_witness(sys)
+        assert rep.ok == (reference is None)
+        assert rep.witness == reference
+        failing += not rep.ok
+    assert failing >= 30
 
 
 def test_kz_system_integrable_but_noncommuting():
