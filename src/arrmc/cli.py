@@ -353,44 +353,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hyperplane arrangements, middle convolution and numeric monodromy.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    options = {
+        "--line": dict(required=True, help='line direction, e.g. "0,1"'),
+        "--lambda": dict(dest="lam", required=True, help="parameter p/q"),
+        "--mu": dict(required=True, help="second parameter p/q"),
+        "--base": dict(required=True, help='base point, e.g. "2" or "2,3"'),
+        "--unchecked": dict(action="store_true", help="skip integrability at load"),
+        "--tol": dict(type=float, default=1e-10, help="integration tolerance"),
+        "--iso-tol": dict(type=float, default=1e-6),
+        "--rank-tol": dict(type=float, default=1e-9,
+                           help="relative singular value threshold for numeric ranks"),
+        "--samples": dict(type=int, help="fiber oracle sample count"),
+        "--seed": dict(type=int, default=0, help="sample sequence offset"),
+    }
 
-    def add(name, *, needs_line=False, needs_lambda=False, needs_mu=False, needs_base=False):
+    def add(name, *flags):
+        """A subcommand with exactly the options its handler reads."""
         sp = sub.add_parser(name)
         sp.add_argument("input", help="input JSON file")
-        if needs_line:
-            sp.add_argument("--line", required=True, help='line direction, e.g. "0,1"')
-        if needs_lambda:
-            sp.add_argument("--lambda", dest="lam", required=True, help="parameter p/q")
-        if needs_mu:
-            sp.add_argument("--mu", required=True, help="second parameter p/q")
-        if needs_base:
-            sp.add_argument("--base", required=True, help='base point, e.g. "2" or "2,3"')
+        for flag in flags:
+            sp.add_argument(flag, **options[flag])
         sp.add_argument("--out", help="write the report to this file")
-        sp.add_argument("--unchecked", action="store_true", help="skip integrability at load")
-        sp.add_argument("--tol", type=float, default=1e-10, help="integration tolerance")
-        sp.add_argument("--iso-tol", dest="iso_tol", type=float, default=1e-6)
-        sp.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-9,
-                        help="relative singular value threshold for numeric ranks")
-        sp.add_argument("--samples", type=int, help="fiber oracle sample count")
-        sp.add_argument("--seed", type=int, default=0, help="sample sequence offset")
-        return sp
 
+    system = ("--line", "--lambda", "--unchecked")
     add("poset")
-    add("goodline", needs_line=True)
+    add("goodline", "--line", "--samples", "--seed")
     add("cone")
     add("decone")
-    add("check", needs_line=True, needs_lambda=True)
-    add("convolve", needs_line=True, needs_lambda=True)
-    add("middle-convolve", needs_line=True, needs_lambda=True)
-    add("compose-verify", needs_line=True, needs_lambda=True, needs_mu=True)
+    add("check", *system)
+    add("convolve", *system)
+    add("middle-convolve", *system)
+    add("compose-verify", *system, "--mu")
     katz = sub.add_parser("katz-mc")
     katz.add_argument("input")
     katz.add_argument("--lambda", dest="lam", help="character exponent p/q")
     katz.add_argument("--scalar", help="exact rational character value")
     katz.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-9)
     katz.add_argument("--out")
-    add("monodromy", needs_line=True, needs_base=True)
-    add("rh-verify", needs_line=True, needs_lambda=True, needs_base=True)
+    add("monodromy", "--line", "--base", "--unchecked", "--tol")
+    add("rh-verify", *system, "--base", "--tol", "--iso-tol", "--rank-tol")
     return p
 
 

@@ -39,10 +39,6 @@ class FuchsianODE:
         if any(abs(self.basepoint - q) <= margin for q in self.poles):
             raise InputError("basepoint too close to a pole")
 
-    @property
-    def npoles(self) -> int:
-        return len(self.poles)
-
     def pole_gap(self) -> float:
         qs = self.poles
         gaps = [abs(qs[i] - qs[j]) for i in range(len(qs)) for j in range(i)]

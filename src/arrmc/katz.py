@@ -9,8 +9,18 @@ The convolution is the block construction on C^(n*rank): the k-th generator
 is the identity except for its k-th block row
 (c(M_1-1), ..., c(M_(k-1)-1), c M_k, (M_(k+1)-1), ..., (M_n-1)); the middle
 convolution quotients by the blockwise fixed spaces of the input together
-with the common fixed space of the convolution tuple.  Entries are either
-double-precision complex or exact rationals; the construction is the same.
+with the common fixed space of the convolution tuple.
+
+Exact and numeric tuples share one construction and one property check.
+``_in_one_field`` chooses the field once, at entry: the work stays exact
+only when both the tuple and the character value are exact (a rational
+scalar, or the exponent 1/2), and runs on ``to_numeric()`` of the tuple
+otherwise.  Every later step handles numpy arrays of that field,
+``dtype=object`` holding Fractions or ``complex``, and only three
+primitives differ by field: the kernel (``linalg.joint_kernel`` or a cut of
+the singular values), the quotient (``linalg.quotient`` or its
+floating-point mirror) and the eigenvector test (``linalg.kernel_pencil_ok``
+or one SVD per eigenvalue).
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .errors import (
     TrivialCharacter,
 )
 from . import linalg as la
-from .linalg import Fraction as _F
 
 
 @dataclass(frozen=True)
@@ -132,215 +141,118 @@ class MonodromyTuple:
     def to_numeric(self) -> "MonodromyTuple":
         if not self.exact:
             return self
-        ms = tuple(
-            np.array([[complex(x) for x in row] for row in m], dtype=complex).reshape(
-                self.rank, self.rank
-            )
-            for m in self.matrices
-        )
+        ms = tuple(np.array(m, dtype=complex).reshape(self.rank, self.rank) for m in self.matrices)
         return MonodromyTuple(self.rank, ms, False, self.labels)
 
     def condition_numbers(self) -> tuple[float, ...]:
         t = self.to_numeric()
         return tuple(float(np.linalg.cond(m)) if self.rank else 1.0 for m in t.matrices)
 
-    def infinity_monodromy(self):
-        """Inverse of the ordered product M_1 ... M_n (recorded convention)."""
-        if self.exact:
-            prod = la.identity(self.rank)
-            for m in self.matrices:
-                prod = la.mat_mul(prod, m)
-            return la.mat_inverse(prod)
-        prod = np.eye(self.rank, dtype=complex)
-        for m in self.matrices:
-            prod = prod @ m
-        return np.linalg.inv(prod)
-
 
 # ---------------------------------------------------------------------------
-# construction
+# the field and its three primitives
 
 
-def convolution_tuple(t: MonodromyTuple, c: CharacterValue) -> MonodromyTuple:
-    """The block convolution tuple before taking the quotient."""
-    n, r = t.npoints, t.rank
-    if t.exact:
-        cval = c.exact_value()
-        if cval is None:
-            return convolution_tuple(t.to_numeric(), c)
-        eye_r = la.identity(r)
-        out = []
-        for k in range(n):
-            rows = [
-                [_F(1) if (i == j) else _F(0) for j in range(n * r)]
-                for i in range(n * r)
-            ]
-            for j in range(n):
-                m = t.matrices[j]
-                if j == k:
-                    blk = la.mat_scale(m, cval)
-                elif j < k:
-                    blk = la.mat_scale(la.mat_sub(m, eye_r), cval)
-                else:
-                    blk = la.mat_sub(m, eye_r)
-                for i in range(r):
-                    for jj in range(r):
-                        rows[k * r + i][j * r + jj] = blk[i][jj]
-            out.append(tuple(tuple(row) for row in rows))
-        return MonodromyTuple(n * r, tuple(out), True, t.labels)
-    cval = c.value()
-    eye = np.eye(r, dtype=complex)
-    out = []
-    for k in range(n):
-        b = np.eye(n * r, dtype=complex)
-        for j in range(n):
-            m = t.matrices[j]
-            if j == k:
-                blk = cval * m
-            elif j < k:
-                blk = cval * (m - eye)
-            else:
-                blk = m - eye
-            b[k * r : (k + 1) * r, j * r : (j + 1) * r] = blk
-        out.append(b)
-    return MonodromyTuple(n * r, tuple(out), False, t.labels)
+def _in_one_field(t: MonodromyTuple, c: CharacterValue | None = None):
+    """(tuple, character value, dtype) that every later step shares.
+
+    The tuple stays exact only when it and the character value both are;
+    otherwise its numeric copy is used throughout.
+    """
+    cval = None if c is None else c.exact_value()
+    if t.exact and (c is None or cval is not None):
+        return t, cval, object
+    return t.to_numeric(), None if c is None else c.value(), complex
 
 
-def _numeric_nullspace(m: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray:
+def _kernel(mats: list, dim: int, dtype, tol: float) -> np.ndarray:
+    """Columns spanning the joint kernel of matrices with ``dim`` columns."""
+    if dtype is object:
+        basis = la.joint_kernel([la.mat(m) for m in mats], dim)
+        return np.array(basis, dtype=object).reshape(len(basis), dim).T
+    return _numeric_nullspace(np.vstack(mats) if mats else np.zeros((0, dim), dtype=complex), tol)
+
+
+def _quotient(mats, joint: np.ndarray, tol: float) -> list:
+    """Action of each matrix on the quotient by the span of ``joint``'s
+    columns, on the standard basis vectors completing them greedily."""
+    if joint.dtype == object:
+        return la.quotient(list(mats), list(la.mat(joint.T)), joint.shape[0])
+    return _numeric_quotient(mats, joint, tol)
+
+
+def _eigenvector_tests(mats: list, dim: int, dtype, tol: float) -> list[tuple[bool, float]]:
+    """(ok, margin) for each k: no eigenvector of mats[k] lies in the joint
+    kernel of the others.  Exact verdicts have an infinite margin."""
+    if dtype is object:
+        exact = [la.mat(m) for m in mats]
+        return [(la.kernel_pencil_ok(exact, k, dim), math.inf) for k in range(len(mats))]
+    return [_numeric_pencil_condition(mats, k, dim, tol) for k in range(len(mats))]
+
+
+def _numeric_nullspace(m: np.ndarray, tol: float) -> np.ndarray:
     """Columns spanning the kernel; singular values are cut relative to the
-    largest one, or to ``scale`` when the whole matrix may be near zero."""
+    largest one."""
     if m.size == 0:
-        w = m.shape[1] if m.ndim == 2 else 0
-        return np.eye(w, dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    if s.size:
-        cut = max(s[0], scale or 0.0) * tol
-        r = int(np.sum(s > cut))
-    else:
-        r = 0
-    return vh[r:].conj().T
+        return np.eye(m.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(m)
+    return vh[int(np.sum(s > s[0] * tol)) :].conj().T
 
 
 def _numeric_rank(cols: np.ndarray, tol: float) -> int:
     if cols.size == 0:
         return 0
     s = np.linalg.svd(cols, compute_uv=False)
-    return int(np.sum(s > (s[0] * tol if s.size else 0)))
+    return int(np.sum(s > s[0] * tol))
 
 
-def multiplicative_kernels(
-    t: MonodromyTuple, c: CharacterValue, tol: float = 1e-9
-):
-    """(blockwise fixed columns, common fixed columns of the convolution)."""
-    conv = convolution_tuple(t, c)
-    n, r = t.npoints, t.rank
-    big = n * r
-    if conv.exact:
-        k_cols = []
-        for k in range(n):
-            for v in la.nullspace(la.mat_sub(t.matrices[k], la.identity(r)), r):
-                col = [_F(0)] * big
-                for i, x in enumerate(v):
-                    col[k * r + i] = x
-                k_cols.append(tuple(col))
-        eye = la.identity(big)
-        l_cols = la.joint_kernel([la.mat_sub(b, eye) for b in conv.matrices], big)
-        return tuple(k_cols), tuple(l_cols), conv
-    k_blocks = []
-    for k in range(n):
-        kern = _numeric_nullspace(t.matrices[k] - np.eye(r), tol)
-        block = np.zeros((big, kern.shape[1]), dtype=complex)
-        block[k * r : (k + 1) * r, :] = kern
-        k_blocks.append(block)
-    k_cols = np.hstack(k_blocks) if k_blocks else np.zeros((big, 0), dtype=complex)
-    stacked = np.vstack([b - np.eye(big) for b in conv.matrices]) if n else np.zeros((0, big))
-    l_cols = _numeric_nullspace(stacked, tol)
-    return k_cols, l_cols, conv
+def _numeric_quotient(mats, joint: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The floating-point mirror of ``linalg.quotient``.
 
-
-def multiplicative_middle_convolution(
-    t: MonodromyTuple, c: CharacterValue, tol: float = 1e-9
-) -> MonodromyTuple:
-    """Quotient of the convolution tuple by its two canonical fixed spaces.
-
-    Output rank is n*rank - dim(blockwise fixed) - dim(common fixed).
+    The complement C is greedy in index order: e_j is kept iff it raises
+    the numeric rank of the basis built so far, whose rank is its column
+    count.  With P = [joint | e_C], the projection Pi is the C rows of
+    P^-1, the quotient of M is (Pi M)[:, C], and max |Pi M joint| is the
+    leak out of the span, checked against the rank threshold.
     """
-    return quotient_by_fixed_spaces(t, multiplicative_kernels(t, c, tol), tol)
-
-
-def quotient_by_fixed_spaces(t: MonodromyTuple, kernels, tol: float = 1e-9) -> MonodromyTuple:
-    """The quotient step of the middle convolution, given the result of
-    ``multiplicative_kernels`` for ``t``."""
-    if t.npoints == 0:
-        return t
-    k_cols, l_cols, conv = kernels
-    big = t.npoints * t.rank
-    if conv.exact:
-        joint = list(k_cols) + list(l_cols)
-        out = la.quotient(list(conv.matrices), joint, big)
-        return MonodromyTuple(big - len(joint), tuple(out), True, t.labels)
-    joint = np.hstack([k_cols, l_cols])
-    jr = _numeric_rank(joint, tol)
-    if jr != joint.shape[1]:
+    dim, cut = joint.shape
+    if _numeric_rank(joint, tol) != cut:
         raise ToleranceNotMet(
             f"numeric fixed spaces intersect nontrivially at rank threshold {tol:g}"
         )
-    cur = joint
-    comp = []
-    for j in range(big):
-        if cur.shape[1] == big:
+    basis, comp = joint, []
+    for j in range(dim):
+        if basis.shape[1] == dim:
             break
-        e = np.zeros((big, 1), dtype=complex)
+        e = np.zeros((dim, 1), dtype=complex)
         e[j, 0] = 1.0
-        cand = np.hstack([cur, e])
-        if _numeric_rank(cand, tol) > _numeric_rank(cur, tol):
-            cur = cand
+        cand = np.hstack([basis, e])
+        if _numeric_rank(cand, tol) == basis.shape[1] + 1:
+            basis = cand
             comp.append(j)
-    p = cur
-    if p.shape[1] != big:
+    if basis.shape[1] != dim:
         raise ToleranceNotMet(
             f"could not complete the numeric fixed spaces to a basis at rank threshold {tol:g}"
         )
-    cut = joint.shape[1]
-    p_inv = np.linalg.inv(p)
+    proj = np.linalg.inv(basis)[cut:]
+    scale = max([1.0] + [float(np.max(np.abs(b), initial=0.0)) for b in mats])
     out = []
-    scale = max([1.0] + [float(np.max(np.abs(b), initial=0.0)) for b in conv.matrices])
-    for b in conv.matrices:
-        q = p_inv @ b @ p
-        lower_left = q[cut:, :cut]
-        leak = float(np.max(np.abs(lower_left))) if lower_left.size else 0.0
+    for b in mats:
+        pb = proj @ b
+        leak = float(np.max(np.abs(pb @ joint), initial=0.0))
         if leak > 1e3 * tol * scale:
             raise ToleranceNotMet(
                 f"fixed spaces are not numerically invariant: lower-left block "
                 f"{leak:.2e} exceeds {1e3 * tol * scale:.2e}"
             )
-        out.append(q[cut:, cut:])
-    return MonodromyTuple(big - cut, tuple(out), False, t.labels)
-
-
-# ---------------------------------------------------------------------------
-# property check
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    ok: bool
-    failures: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-
-
-def _numeric_common_fixed(mats, r, tol) -> np.ndarray:
-    if not mats:
-        return np.eye(r, dtype=complex)
-    stacked = np.vstack([m - np.eye(r) for m in mats])
-    return _numeric_nullspace(stacked, tol)
+        out.append(pb[:, comp])
+    return out
 
 
 def _numeric_pencil_condition(mats, idx, r, tol) -> tuple[bool, float]:
-    """Checks that no eigenvector of M_idx lies in the joint fixed space of
+    """Checks that no eigenvector of mats[idx] lies in the joint kernel of
     the others; returns (ok, margin)."""
-    others = [m for j, m in enumerate(mats) if j != idx]
-    w = _numeric_common_fixed(others, r, tol)
+    w = _kernel([m for j, m in enumerate(mats) if j != idx], r, complex, tol)
     if w.shape[1] == 0:
         return True, math.inf
     eigvals = np.linalg.eigvals(mats[idx])
@@ -359,49 +271,110 @@ def _numeric_pencil_condition(mats, idx, r, tol) -> tuple[bool, float]:
     return True, margin
 
 
+# ---------------------------------------------------------------------------
+# construction
+
+
+def _arrays(mats, r: int, dtype) -> list[np.ndarray]:
+    return [np.asarray(m, dtype=dtype).reshape(r, r) for m in mats]
+
+
+def convolution_tuple(t: MonodromyTuple, c: CharacterValue) -> MonodromyTuple:
+    """The block convolution tuple before taking the quotient, in the field
+    that ``_in_one_field`` chooses."""
+    t, cval, dtype = _in_one_field(t, c)
+    n, r = t.npoints, t.rank
+    mats = _arrays(t.matrices, r, dtype)
+    shifted = [m - np.eye(r, dtype=dtype) for m in mats]
+    out = []
+    for k, m in enumerate(mats):
+        b = np.eye(n * r, dtype=dtype)
+        b[k * r : (k + 1) * r] = np.hstack(
+            [cval * a for a in shifted[:k]] + [cval * m] + shifted[k + 1 :]
+        )
+        out.append(la.mat(b) if dtype is object else b)
+    return MonodromyTuple(n * r, tuple(out), dtype is object, t.labels)
+
+
+def multiplicative_kernels(
+    t: MonodromyTuple, c: CharacterValue, tol: float = 1e-9
+):
+    """(blockwise fixed columns, common fixed columns of the convolution,
+    the convolution tuple); the columns are arrays of the tuple's field."""
+    t, _, dtype = _in_one_field(t, c)
+    conv = convolution_tuple(t, c)
+    r, big = t.rank, conv.rank
+    blocks = [
+        _kernel([m - np.eye(r, dtype=dtype)], r, dtype, tol) for m in _arrays(t.matrices, r, dtype)
+    ]
+    k_cols = np.zeros((big, sum(b.shape[1] for b in blocks)), dtype=dtype)
+    col = 0
+    for k, b in enumerate(blocks):
+        k_cols[k * r : (k + 1) * r, col : col + b.shape[1]] = b
+        col += b.shape[1]
+    shifted = [b - np.eye(big, dtype=dtype) for b in _arrays(conv.matrices, big, dtype)]
+    return k_cols, _kernel(shifted, big, dtype, tol), conv
+
+
+def multiplicative_middle_convolution(
+    t: MonodromyTuple, c: CharacterValue, tol: float = 1e-9
+) -> MonodromyTuple:
+    """Quotient of the convolution tuple by its two canonical fixed spaces.
+
+    Output rank is n*rank - dim(blockwise fixed) - dim(common fixed).
+    """
+    return quotient_by_fixed_spaces(t, multiplicative_kernels(t, c, tol), tol)
+
+
+def quotient_by_fixed_spaces(t: MonodromyTuple, kernels, tol: float = 1e-9) -> MonodromyTuple:
+    """The quotient step of the middle convolution, given the result of
+    ``multiplicative_kernels`` for ``t``."""
+    if t.npoints == 0:
+        return t
+    k_cols, l_cols, conv = kernels
+    joint = np.hstack([k_cols, l_cols])
+    out = _quotient(conv.matrices, joint, tol)
+    return MonodromyTuple(conv.rank - joint.shape[1], tuple(out), conv.exact, t.labels)
+
+
+# ---------------------------------------------------------------------------
+# property check
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    ok: bool
+    failures: tuple[str, ...]
+    warnings: tuple[str, ...] = ()
+
+
 def check_property_p(t: MonodromyTuple, tol: float = 1e-9) -> PropertyReport:
     """Sufficient operational criterion for the no-constant-piece property.
 
     (a) no common fixed vector, (b) no common fixed covector, and (c) for
     each k no eigenvector of M_k inside the joint fixed space of the others,
-    together with the transposed version of (c).
+    together with the transposed version of (c).  (M - 1) v = -s v iff
+    M v = (1 - s) v, so (c) is the eigenvector test on A_k = M_k - 1.
     """
-    n, r = t.npoints, t.rank
-    failures: list[str] = []
+    t, _, dtype = _in_one_field(t)
+    r = t.rank
+    shifted = [m - np.eye(r, dtype=dtype) for m in _arrays(t.matrices, r, dtype)]
+    sides = (
+        ("vector", "kernel", shifted),
+        ("covector", "image", [a.T for a in shifted]),
+    )
+    failures = [
+        f"common fixed {fixed}" for fixed, _, mats in sides if _kernel(mats, r, dtype, tol).shape[1]
+    ]
     warnings: list[str] = []
-    if t.exact:
-        # (M - 1) v = -t v iff M v = (1 - t) v: the pencil test on M - 1
-        # is the eigenvector condition on M
-        eye = la.identity(r)
-        shifted = [la.mat_sub(m, eye) for m in t.matrices]
-        shifted_t = [la.transpose(m) for m in shifted]
-        if la.joint_kernel(shifted, r):
-            failures.append("common fixed vector")
-        if la.joint_kernel(shifted_t, r):
-            failures.append("common fixed covector")
-        for k in range(n):
-            if not la.kernel_pencil_ok(shifted, k, r):
-                failures.append(f"kernel condition at puncture {k}")
-            if not la.kernel_pencil_ok(shifted_t, k, r):
-                failures.append(f"image condition at puncture {k}")
-        return PropertyReport(not failures, tuple(failures), tuple(warnings))
-    mats = [np.asarray(m) for m in t.matrices]
-    mats_t = [m.T for m in mats]
-    if _numeric_common_fixed(mats, r, tol).shape[1]:
-        failures.append("common fixed vector")
-    if _numeric_common_fixed(mats_t, r, tol).shape[1]:
-        failures.append("common fixed covector")
-    for k in range(n):
-        ok, margin = _numeric_pencil_condition(mats, k, r, tol)
-        if not ok:
-            failures.append(f"kernel condition at puncture {k}")
-        elif margin < 1e-6:
-            warnings.append(f"kernel condition nearly fails at puncture {k}")
-        ok, margin = _numeric_pencil_condition(mats_t, k, r, tol)
-        if not ok:
-            failures.append(f"image condition at puncture {k}")
-        elif margin < 1e-6:
-            warnings.append(f"image condition nearly fails at puncture {k}")
+    tests = [_eigenvector_tests(mats, r, dtype, tol) for _, _, mats in sides]
+    for k in range(t.npoints):
+        for (_, name, _), results in zip(sides, tests):
+            ok, margin = results[k]
+            if not ok:
+                failures.append(f"{name} condition at puncture {k}")
+            elif margin < 1e-6:
+                warnings.append(f"{name} condition nearly fails at puncture {k}")
     return PropertyReport(not failures, tuple(failures), tuple(warnings))
 
 

@@ -101,10 +101,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
@@ -394,15 +390,6 @@ def integer_eigenvalues(m: Matrix) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # subspace helpers (columns spanning subspaces)
-
-
-def in_span(v: Vector, cols: list[Vector]) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not cols:
-        return False
-    base = tuple(cols)
-    return rank(base) == rank(base + (v,))
 
 
 def _reduced_span(cols: list[Vector], dim: int) -> tuple[Matrix, list[int], list[int]]:

@@ -294,7 +294,7 @@ def verify_mc_compatibility(
     character = CharacterValue.from_exponent(lam.value)
     kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
     t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
-    kdim, ldim = (cols.shape[1] for cols in kernels[:2])  # numeric tuple: arrays
+    kdim, ldim = (cols.shape[1] for cols in kernels[:2])
     k_exact, l_exact = kernel_subspaces(sys, y, lam)
     if (kdim, ldim) != (len(k_exact), len(l_exact)):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())

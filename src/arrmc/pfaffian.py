@@ -57,10 +57,6 @@ class ConvolutionParameter:
     def negated(self) -> "ConvolutionParameter":
         return ConvolutionParameter(-self.value)
 
-    def character_class(self) -> Fraction:
-        """The value modulo 1 determining the character exp(2*pi*i*value)."""
-        return self.value % 1
-
 
 @dataclass(frozen=True)
 class PfaffianSystem:
@@ -204,9 +200,7 @@ def fiber_restriction(sys: PfaffianSystem, y: LineDirection, base) -> FuchsianOD
     poles = tuple(complex(q) for _, q in items)
     labels = tuple(lbl for lbl, _ in items)
     residues = tuple(
-        np.array([[complex(x) for x in row] for row in sys.residues[lbl]], dtype=complex).reshape(
-            sys.dim_e, sys.dim_e
-        )
+        np.array(sys.residues[lbl], dtype=complex).reshape(sys.dim_e, sys.dim_e)
         for lbl in labels
     )
     return FuchsianODE(poles, residues, labels, standard_basepoint(poles), sys.dim_e)

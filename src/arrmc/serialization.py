@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Arrangement, Hyperplane, LineDirection
+from .arrangement import Arrangement, Hyperplane
 from .errors import InputError
 from .katz import CharacterValue, MonodromyTuple
 from .linalg import Matrix, frac
@@ -78,15 +78,6 @@ def arrangement_from_json(obj: dict) -> Arrangement:
             )
         )
     return Arrangement.make(obj["dim"], hs)
-
-
-def line_to_json(y: LineDirection) -> dict:
-    return {"schema": SCHEMA, "direction": [rational_str(c) for c in y.direction]}
-
-
-def line_from_json(obj: dict) -> LineDirection:
-    _check_fields(obj, ("direction",))
-    return LineDirection.make([_parse_rational(c) for c in obj["direction"]])
 
 
 def _matrix_to_json(m: Matrix) -> list:
@@ -156,17 +147,6 @@ def tuple_from_json(obj: dict) -> MonodromyTuple:
             ).reshape(rank, rank)
         )
     return MonodromyTuple.numeric(mats, labels)
-
-
-def character_from_json(obj: dict) -> CharacterValue:
-    _check_fields(obj, (), optional=("lambda", "scalar"))
-    has_lambda = "lambda" in obj
-    has_scalar = "scalar" in obj
-    if has_lambda == has_scalar:
-        raise InputError("character needs exactly one of 'lambda' or 'scalar'")
-    if has_lambda:
-        return CharacterValue.from_exponent(_parse_rational(obj["lambda"]))
-    return CharacterValue.from_scalar(_parse_rational(obj["scalar"]))
 
 
 def character_to_json(c: CharacterValue) -> dict:

@@ -12,7 +12,7 @@ from arrmc import (
     LineDirection,
     PfaffianSystem,
 )
-from arrmc.linalg import Matrix, mat, rref
+from arrmc.linalg import Matrix, Vector, mat, rank, rref
 
 Y_AXIS = LineDirection.make([0, 1])
 
@@ -95,6 +95,19 @@ def kz_system(scale=F(1, 2), outer=F(1, 3)) -> PfaffianSystem:
     return PfaffianSystem.make(
         four_lines(), 2, {"x": a_x, "y": a_y, "d": a_d, "x1": a_x1}
     )
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in a)
+
+
+def in_span(v: Vector, cols: list[Vector]) -> bool:
+    if all(x == 0 for x in v):
+        return True
+    if not cols:
+        return False
+    base = tuple(cols)
+    return rank(base) == rank(base + (v,))
 
 
 def line_points(qs) -> Arrangement:

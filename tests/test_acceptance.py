@@ -35,7 +35,7 @@ from arrmc import (
     verify_mc_compatibility,
 )
 from arrmc.fuchsian import FuchsianODE, standard_loops
-from arrmc.linalg import in_span, mat_vec, rank as mat_rank
+from arrmc.linalg import rank as mat_rank
 from arrmc.cli import main as cli_main
 
 from conftest import (
@@ -45,6 +45,8 @@ from conftest import (
     composition_corpus,
     four_lines,
     four_lines_system,
+    in_span,
+    mat_vec,
     random_arrangement,
 )
 

@@ -23,13 +23,14 @@ from arrmc import (
     shifted_family,
 )
 from arrmc import arrangement, serialization
-from arrmc.linalg import mat, mat_inverse, mat_vec, rank
+from arrmc.linalg import mat, mat_inverse, rank
 
 from conftest import (
     Y_AXIS,
     braid3,
     brute_force_poset,
     four_lines,
+    mat_vec,
     nongood_pair,
     random_arrangement,
 )

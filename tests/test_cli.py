@@ -1,12 +1,13 @@
 import json
 import os
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from arrmc import serialization as ser
-from arrmc.cli import main
+from arrmc.cli import _build_parser, main
 from arrmc.katz import MonodromyTuple
 
 from conftest import four_lines, four_lines_system, kz_system
@@ -54,15 +55,13 @@ def test_roundtrip_tuples(tmp_path):
     assert np.allclose(again.matrices[0], num.matrices[0])
 
 
-def test_roundtrip_line_and_character():
-    from arrmc import CharacterValue, LineDirection
+def test_character_to_json():
+    from arrmc import CharacterValue
 
-    y = LineDirection.make([0, 2, F(4, 3)])
-    again = ser.line_from_json(json.loads(ser.dumps(ser.line_to_json(y))))
-    assert again == y  # canonical form: leading coefficient one
-    for c in (CharacterValue.from_exponent(F(1, 5)), CharacterValue.from_scalar(F(2))):
-        again = ser.character_from_json(json.loads(ser.dumps(ser.character_to_json(c))))
-        assert again == c
+    c = CharacterValue.from_exponent(F(6, 5))
+    assert ser.character_to_json(c) == {"schema": 1, "lambda": "1/5"}
+    c = CharacterValue.from_scalar(F(-2, 3))
+    assert ser.character_to_json(c) == {"schema": 1, "scalar": "-2/3"}
 
 
 def test_unknown_field_rejected():
@@ -190,6 +189,18 @@ def test_cli_katz_mc(capsys):
     assert rep["property_p"]["ok"]
     out = ser.tuple_from_json(rep["tuple"])
     assert out.exact and out.rank == 3
+
+
+def test_cli_katz_mc_unit_circle_character_on_exact_tuple(capsys):
+    # exp(2 pi i / 5) is not rational, so the exact tuple is convolved in
+    # floating point from the start, not only its convolution tuple
+    code, rep = run_cli(
+        capsys, "katz-mc", corpus("exact_tuple.json"), "--lambda", "1/5"
+    )
+    assert code == 0
+    assert rep["input_rank"] == 2 and rep["output_rank"] == 3
+    out = ser.tuple_from_json(rep["tuple"])
+    assert not out.exact and out.rank == 3
 
 
 def test_cli_monodromy(capsys):
@@ -462,3 +473,69 @@ def test_cli_out_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["good"]
     assert capsys.readouterr().out == ""
+
+
+# the arguments each subcommand requires, and the subcommands that read each
+# optional option
+REQUIRED = {
+    "poset": [],
+    "goodline": ["--line", "0,1"],
+    "cone": [],
+    "decone": [],
+    "check": ["--line", "0,1", "--lambda", "1/5"],
+    "convolve": ["--line", "0,1", "--lambda", "1/5"],
+    "middle-convolve": ["--line", "0,1", "--lambda", "1/5"],
+    "compose-verify": ["--line", "0,1", "--lambda", "1/5", "--mu", "1/7"],
+    "katz-mc": ["--scalar", "2"],
+    "monodromy": ["--line", "0,1", "--base", "2"],
+    "rh-verify": ["--line", "0,1", "--lambda", "1/5", "--base", "2"],
+}
+READ_BY = {
+    "--unchecked": {
+        "check", "convolve", "middle-convolve", "compose-verify", "monodromy", "rh-verify"
+    },
+    "--tol": {"monodromy", "rh-verify"},
+    "--iso-tol": {"rh-verify"},
+    "--rank-tol": {"rh-verify", "katz-mc"},
+    "--samples": {"goodline"},
+    "--seed": {"goodline"},
+}
+VALUE = {"--unchecked": [], "--tol": ["1e-10"], "--iso-tol": ["1e-6"], "--rank-tol": ["1e-9"],
+         "--samples": ["20"], "--seed": ["3"]}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c in REQUIRED for o in READ_BY if c not in READ_BY[o]],
+)
+def test_cli_rejects_an_option_its_command_ignores(command, option):
+    parser = _build_parser()
+    argv = [command, "input.json", *REQUIRED[command]]
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, option, *VALUE[option]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option", sorted(READ_BY))
+def test_cli_accepts_an_option_where_it_is_read(option):
+    for command in READ_BY[option]:
+        argv = [command, "input.json", *REQUIRED[command], option, *VALUE[option]]
+        _build_parser().parse_args(argv)
+
+
+def test_cli_accepts_every_documented_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usages = [line.split("#")[0] for line in block.splitlines() if line.startswith("arrmc ")]
+    assert len(usages) == len(REQUIRED)
+    argvs = [shlex.split(u.replace("[", "").replace("]", ""))[1:] for u in usages]
+    argvs += [  # the forms the benchmark jobs pass
+        ["goodline", "a.json", "--line=0,1", "--samples=20"],
+        ["check", "s.json", "--line=1", "--lambda=1/5"],
+        ["compose-verify", "s.json", "--line=1", "--lambda=1/5", "--mu=1/7"],
+        ["katz-mc", "t.json", "--scalar=2"],
+        ["rh-verify", "s.json", "--line=1", "--lambda=1/5", "--base="],
+    ]
+    for argv in argvs:
+        _build_parser().parse_args([*argv, "--out", "report.json"])

@@ -17,11 +17,9 @@ from arrmc import (
     verify_composition_law,
 )
 from arrmc.linalg import (
-    in_span,
     mat,
     mat_inverse,
     mat_mul,
-    mat_vec,
     rank,
 )
 
@@ -29,8 +27,10 @@ from conftest import (
     Y_AXIS,
     composition_corpus,
     four_lines_system,
+    in_span,
     kz_system,
     line_system,
+    mat_vec,
     nongood_pair,
 )
 

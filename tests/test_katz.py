@@ -11,12 +11,19 @@ from arrmc import (
     DimensionMismatch,
     MonodromyTuple,
     SingularInput,
+    ToleranceNotMet,
     TrivialCharacter,
     check_property_p,
     multiplicative_middle_convolution,
     tuple_isomorphism,
 )
-from arrmc.katz import convolution_tuple, multiplicative_kernels
+from arrmc.katz import (
+    _numeric_rank,
+    convolution_tuple,
+    multiplicative_kernels,
+    quotient_by_fixed_spaces,
+)
+from arrmc.linalg import mat_inverse, mat_mul
 
 
 def unit(lam_num, lam_den):
@@ -47,8 +54,8 @@ def test_tuple_validation():
         MonodromyTuple.numeric([np.zeros((2, 2))])
     t = MonodromyTuple.exact_tuple([[[F(2)]], [[F(3)]]])
     assert t.rank == 1 and t.npoints == 2
-    inf = t.infinity_monodromy()
-    assert inf == ((F(1, 6),),)
+    # monodromy at infinity: the inverse of the ordered product
+    assert mat_inverse(mat_mul(*t.matrices)) == ((F(1, 6),),)
 
 
 def test_rank1_construction_and_local_eigenvalues():
@@ -89,6 +96,29 @@ def test_dimension_formula_matches_kernels():
         k_cols, l_cols, _ = multiplicative_kernels(t, c)
         out = multiplicative_middle_convolution(t, c)
         assert out.rank == n * r - k_cols.shape[1] - l_cols.shape[1]
+
+
+def test_unit_circle_character_on_exact_tuple_is_numeric():
+    c = CharacterValue.from_exponent(F(1, 5))
+    cases = [
+        [[[F(2)]], [[F(3)]]],
+        [
+            [[F(2), F(1)], [F(0), F(3)]],
+            [[F(1), F(0)], [F(1), F(2)]],
+        ],
+        [
+            [[F(1), F(1)], [F(0), F(1)]],
+            [[F(1), F(0)], [F(1), F(1)]],
+            [[F(1, 2), F(0)], [F(3), F(-1)]],
+        ],
+    ]
+    for mats in cases:
+        te = MonodromyTuple.exact_tuple(mats)
+        got = multiplicative_middle_convolution(te, c)
+        want = multiplicative_middle_convolution(te.to_numeric(), c)
+        assert not got.exact and got.rank == want.rank
+        for a, b in zip(got.matrices, want.matrices):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_exact_composition_laws():
@@ -239,3 +269,114 @@ def test_convolution_tuple_blocks():
     b1, b2 = conv.matrices
     assert b1 == ((F(10), F(2)), (F(0), F(1)))
     assert b2 == ((F(1), F(0)), (F(5), F(15)))
+
+
+def reference_numeric_quotient(t, kernels, tol=1e-9):
+    """The numeric quotient as P^-1 M P on P = [fixed spaces | e_C], the
+    complement C chosen by comparing two SVD ranks per standard vector.
+    This was the implementation; it is kept as the reference of the
+    quotient in linalg.quotient's form."""
+    k_cols, l_cols, conv = kernels
+    big = t.npoints * t.rank
+    joint = np.hstack([k_cols, l_cols])
+    if _numeric_rank(joint, tol) != joint.shape[1]:
+        raise ToleranceNotMet("numeric fixed spaces intersect nontrivially")
+    p = joint
+    for j in range(big):
+        if p.shape[1] == big:
+            break
+        e = np.zeros((big, 1), dtype=complex)
+        e[j, 0] = 1.0
+        cand = np.hstack([p, e])
+        if _numeric_rank(cand, tol) > _numeric_rank(p, tol):
+            p = cand
+    if p.shape[1] != big:
+        raise ToleranceNotMet("could not complete the numeric fixed spaces to a basis")
+    cut = joint.shape[1]
+    p_inv = np.linalg.inv(p)
+    scale = max([1.0] + [float(np.max(np.abs(b), initial=0.0)) for b in conv.matrices])
+    out = []
+    for b in conv.matrices:
+        q = p_inv @ b @ p
+        if float(np.max(np.abs(q[cut:, :cut]), initial=0.0)) > 1e3 * tol * scale:
+            raise ToleranceNotMet("fixed spaces are not numerically invariant")
+        out.append(q[cut:, cut:])
+    return out
+
+
+def random_exact_tuple(rng):
+    """n <= 4 generators of rank <= 3: identities, unipotent-like upper
+    triangular matrices and dense small rationals, so that fixed spaces and
+    property P failures are common."""
+    n, r = rng.randint(1, 4), rng.randint(1, 3)
+    mats = []
+    while len(mats) < n:
+        u = rng.random()
+        if u < 0.2:
+            m = [[int(i == j) for j in range(r)] for i in range(r)]
+        elif u < 0.45:
+            m = [
+                [rng.choice([1, 2, -1, 3]) if i == j else rng.randint(-1, 1) * (j > i)
+                 for j in range(r)]
+                for i in range(r)
+            ]
+        else:
+            m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(r)]
+        try:
+            mats.append(MonodromyTuple.exact_tuple([m]).matrices[0])
+        except SingularInput:
+            pass
+    return MonodromyTuple.exact_tuple(mats)
+
+
+def test_fields_agree_on_random_tuples():
+    # Even draws: an exact tuple and its numeric copy.  Odd draws: the numeric
+    # copy perturbed by up to 1e-5, near the rank threshold, where the
+    # quotient may be refused.
+    rng, noise = random.Random(2026), np.random.default_rng(2026)
+    chars = [
+        CharacterValue.from_scalar(2),
+        CharacterValue.from_exponent(F(1, 2)),
+        CharacterValue.from_exponent(F(1, 5)),
+        CharacterValue.from_scalar(F(-1, 3)),
+    ]
+    refused = exact_checked = 0
+    for i in range(1000):
+        te = random_exact_tuple(rng)
+        c = chars[(i // 2) % 4]
+        tn = te.to_numeric()
+        if i % 2:
+            eps = 10.0 ** noise.uniform(-12, -5)
+            shape = (tn.rank, tn.rank)
+            tn = MonodromyTuple.numeric(
+                [m + eps * (noise.normal(size=shape) + 1j * noise.normal(size=shape)) for m in tn.matrices]
+            )
+        else:
+            pe, pn = check_property_p(te), check_property_p(tn)
+            assert (pe.ok, pe.failures) == (pn.ok, pn.failures), i
+        kernels = multiplicative_kernels(tn, c)
+        try:
+            want = reference_numeric_quotient(tn, kernels)
+        except ToleranceNotMet as exc:
+            refused += 1
+            with pytest.raises(ToleranceNotMet, match=str(exc)):
+                quotient_by_fixed_spaces(tn, kernels)
+            continue
+        got = quotient_by_fixed_spaces(tn, kernels)
+        assert got.rank == want[0].shape[0]
+        for a, b in zip(got.matrices, want):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, i
+        if i % 2:
+            continue
+        out = multiplicative_middle_convolution(te, c)
+        if c.exact_value() is None:
+            assert not out.exact
+            for a, b in zip(out.matrices, got.matrices):
+                np.testing.assert_array_equal(a, b)
+        else:
+            exact_checked += 1
+            assert out.exact and out.rank == got.rank
+            for a, b in zip(out.matrices, got.matrices):
+                a = np.array(a, dtype=complex).reshape(b.shape)
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-9, i
+    assert refused > 0 and exact_checked >= 200

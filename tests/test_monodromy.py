@@ -100,9 +100,10 @@ def test_tuple_product_matches_infinity_for_commuting_residues():
         prod = prod @ m
     expected = np.diag(np.exp(2j * np.pi * np.diag(d1 + d2)))
     assert np.max(np.abs(prod - expected)) < 10 * 1e-8
-    # and the recorded convention: product times infinity monodromy = Id
-    inf = ext.monodromy.infinity_monodromy()
-    assert np.max(np.abs(prod @ inf - np.eye(2))) < 1e-9
+    # the recorded convention: the monodromy at infinity, the inverse of the
+    # product, is exp(2 pi i R_inf) for the commuting residue at infinity
+    inf = np.diag(np.exp(2j * np.pi * np.diag(ext.infinity_residue)))
+    assert np.max(np.abs(np.linalg.inv(prod) - inf)) < 10 * 1e-8
 
 
 def test_monodromy_tuple_scalar_example():
@@ -362,7 +363,7 @@ def test_lasso_monodromies_match_local_exponents():
     for seed in range(50):
         ode = grid_ode(np.random.default_rng(seed))
         ext = monodromy_tuple_of_ode(ode, TOL)
-        order = sorted(range(ode.npoles), key=lambda i: (ode.poles[i].real, ode.poles[i].imag))
+        order = sorted(range(len(ode.poles)), key=lambda i: (ode.poles[i].real, ode.poles[i].imag))
         for m, k in zip(ext.monodromy.matrices, order):
             r = ode.residues[k]
             expected = cmath.exp(2j * math.pi * np.trace(r))

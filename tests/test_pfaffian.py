@@ -7,6 +7,7 @@ import pytest
 
 from arrmc import (
     Arrangement,
+    CharacterValue,
     ConvolutionParameter,
     Hyperplane,
     InputError,
@@ -38,7 +39,7 @@ def test_parameter_must_be_noninteger():
     with pytest.raises(ParameterIntegral):
         ConvolutionParameter.make(2)
     p = ConvolutionParameter.make(F(7, 5))
-    assert p.character_class() == F(2, 5)
+    assert CharacterValue.from_exponent(p.value).exponent == F(2, 5)
     assert p.negated().value == F(-7, 5)
 
 
@@ -301,7 +302,7 @@ def test_fiber_restriction_all_parallel_is_empty():
         "b": [[0, 0, 0], [1, 0, 0], [0, 0, 1]],
     }, check=False)
     ode = fiber_restriction(sys, Y_AXIS, [F(5)])
-    assert ode.npoles == 0 and ode.dim == 3
+    assert ode.poles == () and ode.dim == 3
 
 
 def test_fiber_restriction_rejects_collision_base():
