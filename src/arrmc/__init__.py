@@ -18,8 +18,6 @@ from .arrangement import (
     fiber_points,
     goodness_fiber_oracle,
     is_good_line,
-    parallel_subarrangement,
-    shifted_family,
 )
 from .convolution import (
     ConvolutionResult,
@@ -115,8 +113,6 @@ __all__ = [
     "middle_convolve",
     "monodromy_tuple_of_system",
     "multiplicative_middle_convolution",
-    "parallel_subarrangement",
-    "shifted_family",
     "transport_along_loop",
     "tuple_isomorphism",
     "verify_composition_law",

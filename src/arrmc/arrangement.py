@@ -1,8 +1,10 @@
 """Exact combinatorics of affine hyperplane arrangements.
 
-Intersection posets, good-line detection, parallel subarrangements, shifted
-families, cone/decone and fiber-point extraction.  All data is rational and
-canonicalized, so equality of hyperplanes and flats is syntactic.
+Intersection posets, the arrangement seen along a line direction
+(``AlongLine``: the parallel/transverse split, the shifts X + Y and the
+coordinates along the line), good-line detection, cone/decone and fiber
+points.  All data is rational and canonicalized, so equality of hyperplanes
+and flats is syntactic.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ class Hyperplane:
     def sort_key(self):
         return (self.coeffs, self.constant)
 
-    def linear_part(self, direction: Vector) -> Fraction:
-        return dot(self.coeffs, direction)
-
-    def is_parallel_to(self, y: "LineDirection") -> bool:
-        return self.linear_part(y.direction) == 0
-
     def equation_row(self) -> Vector:
         """Augmented row (coeffs | rhs) of the equation ``coeffs . x = -constant``."""
         return self.coeffs + (-self.constant,)
@@ -121,6 +117,16 @@ class Arrangement:
     def poset(self) -> IntersectionPoset:
         """The intersection poset, built on first use and kept."""
         return build_intersection_poset(self)
+
+    @cached_property
+    def _views(self) -> dict[LineDirection, AlongLine]:
+        return {}
+
+    def along(self, y: LineDirection) -> AlongLine:
+        """The arrangement seen along y, built on first use per direction and kept."""
+        if y not in self._views:
+            self._views[y] = AlongLine(self, y)
+        return self._views[y]
 
 
 @dataclass(frozen=True)
@@ -279,56 +285,85 @@ def shift_flat_along(flat: Flat, y: LineDirection) -> Flat:
     return shifted
 
 
+@dataclass(frozen=True, eq=False)
+class AlongLine:
+    """The arrangement seen along the line direction y (``Arrangement.along``).
+
+    Each part is computed on first use and kept:
+
+    - ``basis``: an invertible matrix whose last column is y, the others
+      standard vectors chosen greedily in index order, so the change of
+      coordinates x = basis u sending the last axis to y is deterministic;
+    - ``forms``: each hyperplane's linear part in the coordinates u, by
+      label; its last entry is 0 exactly when the hyperplane is parallel to y;
+    - ``parallel`` and ``transverse``: the split, in arrangement order;
+    - ``blocks``: the transverse labels in canonical order, which index the
+      tensor factor of the convolution;
+    - ``shifts``: (X, X + Y) in poset order for each rank-two flat X met by at
+      least two transverse hyperplanes; X + Y is then a hyperplane;
+    - ``witness``: the first such X whose shift is not a flat, None iff y is
+      good.  The other rank-two flats need no test: if X lies in a parallel
+      H then X + Y = H, and if every hyperplane through X is parallel then
+      X + Y = X.
+    """
+
+    arrangement: Arrangement
+    line: LineDirection
+
+    def __post_init__(self):
+        if self.line.dim != self.arrangement.ambient_dim:
+            raise InputError("line direction dimension mismatch")
+
+    @cached_property
+    def basis(self) -> Matrix:
+        y, dim = self.line.direction, self.line.dim
+        std = identity(dim)
+        chosen = [std[j] for j in extend_to_basis([y], dim)]
+        return from_columns(chosen + [y], dim)
+
+    @cached_property
+    def forms(self) -> dict[str, Vector]:
+        cols = tuple(zip(*self.basis))
+        return {
+            h.label: tuple(dot(h.coeffs, col) for col in cols)
+            for h in self.arrangement.hyperplanes
+        }
+
+    @cached_property
+    def parallel(self) -> tuple[Hyperplane, ...]:
+        return tuple(h for h in self.arrangement.hyperplanes if self.forms[h.label][-1] == 0)
+
+    @cached_property
+    def transverse(self) -> tuple[Hyperplane, ...]:
+        return tuple(h for h in self.arrangement.hyperplanes if self.forms[h.label][-1] != 0)
+
+    @cached_property
+    def blocks(self) -> tuple[str, ...]:
+        return tuple(h.label for h in sorted(self.transverse, key=Hyperplane.sort_key))
+
+    @cached_property
+    def shifts(self) -> tuple[tuple[Flat, Flat], ...]:
+        transverse = {h.label for h in self.transverse}
+        out = []
+        for x in self.arrangement.poset.rank_two():
+            if len(x.containing & transverse) < 2:
+                continue
+            shifted = shift_flat_along(x, self.line)
+            if shifted.rank != 1:
+                raise InternalError("transverse rank-two flat must shift to a hyperplane")
+            out.append((x, shifted))
+        return tuple(out)
+
+    @cached_property
+    def witness(self) -> Flat | None:
+        members = {f.rows for f in self.arrangement.poset.flats()}
+        return next((x for x, shifted in self.shifts if shifted.rows not in members), None)
+
+
 def is_good_line(arr: Arrangement, y: LineDirection) -> tuple[bool, Flat | None]:
     """Check X + Y in L(arr) for every rank-two flat X; witness on failure."""
-    if y.dim != arr.ambient_dim:
-        raise InputError("line direction dimension mismatch")
-    poset = arr.poset
-    members = {f.rows for f in poset.flats()}
-    for x in poset.rank_two():
-        shifted = shift_flat_along(x, y)
-        if shifted.rows not in members:
-            return False, x
-    return True, None
-
-
-def parallel_subarrangement(
-    arr: Arrangement, y: LineDirection
-) -> tuple[list[Hyperplane], list[Hyperplane]]:
-    """Split into (parallel to y, transverse to y); n = len(transverse)."""
-    par = [h for h in arr.hyperplanes if h.is_parallel_to(y)]
-    rest = [h for h in arr.hyperplanes if not h.is_parallel_to(y)]
-    return par, rest
-
-
-def shifted_family(arr: Arrangement, y: LineDirection) -> list[Hyperplane]:
-    """Hyperplanes X + Y for X ranging over rank-two flats transverse to y.
-
-    Deduplicated by canonical form.  Labels reuse the matching hyperplane of
-    ``arr`` when the shift lands inside it, otherwise fresh ``S#`` labels.
-    """
-    _, rest = parallel_subarrangement(arr, y)
-    if len(rest) < 2:
-        return []
-    poset = Arrangement.make(arr.ambient_dim, rest).poset
-    found: dict[tuple[Vector, Fraction], Hyperplane] = {}
-    existing = {(h.coeffs, h.constant): h for h in arr.hyperplanes}
-    counter = 0
-    for x in poset.rank_two():
-        shifted = shift_flat_along(x, y)
-        if shifted.rank != 1:
-            raise InternalError("rank-two flat transverse to the line must shift to a hyperplane")
-        row = shifted.rows[0]
-        coeffs, constant = _canonical_form(row[:-1], -row[-1])
-        key = (coeffs, constant)
-        if key in found:
-            continue
-        if key in existing:
-            found[key] = existing[key]
-        else:
-            counter += 1
-            found[key] = Hyperplane(coeffs, constant, f"S{counter}")
-    return sorted(found.values(), key=Hyperplane.sort_key)
+    witness = arr.along(y).witness
+    return witness is None, witness
 
 
 def cone(arr: Arrangement, origin_label: str = "H0") -> Arrangement:
@@ -371,17 +406,6 @@ def decone(arr: Arrangement) -> Arrangement:
 # fiber extraction along a line direction
 
 
-def transverse_basis(y: LineDirection) -> Matrix:
-    """Invertible matrix whose last column is y, the rest standard vectors.
-
-    Columns are chosen greedily in index order, so the change of coordinates
-    u -> B u sending the last axis to the line direction is deterministic.
-    """
-    std = identity(y.dim)
-    chosen = [std[j] for j in extend_to_basis([y.direction], y.dim)]
-    return from_columns(chosen + [y.direction], y.dim)
-
-
 @dataclass(frozen=True)
 class FiberPoints:
     """Solutions of each transverse hyperplane on the fiber over ``base``.
@@ -402,18 +426,15 @@ class FiberPoints:
 
 def fiber_points(arr: Arrangement, y: LineDirection, base) -> FiberPoints:
     """Roots along the fiber {base} x C after moving y to the last axis."""
-    if y.dim != arr.ambient_dim:
-        raise InputError("line direction dimension mismatch")
+    forms = arr.along(y).forms
     base_v = vec(base)
     if len(base_v) != arr.ambient_dim - 1:
         raise InputError(
             f"base point must have {arr.ambient_dim - 1} coordinates, got {len(base_v)}"
         )
-    basis = transverse_basis(y)
     points: dict[str, Fraction] = {}
     for h in arr.hyperplanes:
-        new_coeffs = tuple(dot(h.coeffs, col) for col in zip(*basis))
-        head, last = new_coeffs[:-1], new_coeffs[-1]
+        *head, last = forms[h.label]
         affine = dot(head, base_v) + h.constant
         if last == 0:
             if affine == 0:
@@ -451,17 +472,6 @@ def _halton_point(index: int, dim: int) -> Vector:
     return tuple(3 * _halton(index, _PRIMES[j % len(_PRIMES)]) - 1 for j in range(dim))
 
 
-def _projected_parallel_rows(arr: Arrangement, y: LineDirection) -> list[tuple[Vector, Fraction]]:
-    """Linear forms cutting the projected parallel subarrangement in base coords."""
-    basis = transverse_basis(y)
-    rows = []
-    for h in arr.hyperplanes:
-        new_coeffs = tuple(dot(h.coeffs, col) for col in zip(*basis))
-        if new_coeffs[-1] == 0:
-            rows.append((new_coeffs[:-1], h.constant))
-    return rows
-
-
 def _off_projected(base_v: Vector, rows) -> bool:
     return all(dot(c, base_v) + a != 0 for c, a in rows)
 
@@ -479,23 +489,20 @@ def goodness_fiber_oracle(
     happen exactly over those projections, so every non-good case exhibits a
     collision sample while agreement on all samples is reported as evidence.
     """
-    if y.dim != arr.ambient_dim:
-        raise InputError("line direction dimension mismatch")
+    view = arr.along(y)
     l = arr.ambient_dim
-    proj_rows = _projected_parallel_rows(arr, y)
-    _, rest = parallel_subarrangement(arr, y)
+    # the projected parallel hyperplanes, as forms in the base coordinates
+    proj_rows = [(view.forms[h.label][:-1], h.constant) for h in view.parallel]
     report: dict = {"samples": [], "collision": None}
 
     candidates: list[Vector] = []
-    if l >= 2 and len(rest) >= 2:
-        sub = Arrangement.make(l, rest)
-        basis = transverse_basis(y)
+    if l >= 2 and len(view.transverse) >= 2:
+        sub = Arrangement.make(l, view.transverse)
         for x in sub.poset.rank_two():
             p = x.point()
             dirs = x.directions()
-            binv = _solve_coordinates(basis, p)
-            proj_p = binv[:-1]
-            proj_dirs = [_solve_coordinates(basis, d)[:-1] for d in dirs]
+            proj_p = _solve_coordinates(view.basis, p)[:-1]
+            proj_dirs = [_solve_coordinates(view.basis, d)[:-1] for d in dirs]
             if _projection_inside_parallel(proj_p, proj_dirs, proj_rows):
                 continue
             pt = _point_on_subspace_off(proj_p, proj_dirs, proj_rows)

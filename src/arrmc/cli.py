@@ -56,13 +56,9 @@ class JobSpec:
 def _flat_json(f: Flat) -> dict:
     return {
         "rank": f.rank,
-        "equations": [[ser.rational_str(x) for x in row] for row in f.rows],
+        "equations": ser.matrix_to_json(f.rows),
         "containing": sorted(f.containing),
     }
-
-
-def _matrix_json(m) -> list:
-    return [[ser.rational_str(x) for x in row] for row in m]
 
 
 def _rational(s: str):
@@ -174,8 +170,8 @@ def _cmd_convolve(job: JobSpec):
             "blockwise": len(cr.block_kernel_basis),
             "diagonal": len(cr.diagonal_kernel_basis),
         },
-        "blockwise_kernel_basis": [[ser.rational_str(x) for x in v] for v in cr.block_kernel_basis],
-        "diagonal_kernel_basis": [[ser.rational_str(x) for x in v] for v in cr.diagonal_kernel_basis],
+        "blockwise_kernel_basis": ser.matrix_to_json(cr.block_kernel_basis),
+        "diagonal_kernel_basis": ser.matrix_to_json(cr.diagonal_kernel_basis),
         "system": ser.system_to_json(cr.system),
     }
     return 0, report
@@ -211,9 +207,9 @@ def _cmd_compose_verify(job: JobSpec):
         "ok": rep.ok,
     }
     if rep.additive_intertwiner is not None:
-        report["additive_intertwiner"] = _matrix_json(rep.additive_intertwiner)
+        report["additive_intertwiner"] = ser.matrix_to_json(rep.additive_intertwiner)
     if rep.inverse_intertwiner is not None:
-        report["inverse_intertwiner"] = _matrix_json(rep.inverse_intertwiner)
+        report["inverse_intertwiner"] = ser.matrix_to_json(rep.inverse_intertwiner)
     return (0 if rep.ok else 1), report
 
 
@@ -311,7 +307,7 @@ def _cmd_rh_verify(job: JobSpec):
         "isomorphic": iso,
     }
     if intertwiner is not None:
-        report["round_trip"]["intertwiner"] = _matrix_json(intertwiner)
+        report["round_trip"]["intertwiner"] = ser.matrix_to_json(intertwiner)
     report["ok"] = iso
     return (0 if iso else 1), report
 

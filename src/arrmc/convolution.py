@@ -18,10 +18,7 @@ from .arrangement import (
     Hyperplane,
     LineDirection,
     _canonical_form,
-    _flat_from_augmented,
     is_good_line,
-    parallel_subarrangement,
-    shift_flat_along,
 )
 from .errors import (
     DimensionMismatch,
@@ -81,11 +78,6 @@ class ConvolutionResult:
         )
 
 
-def block_order_of(sys: PfaffianSystem, y: LineDirection) -> tuple[str, ...]:
-    _, rest = parallel_subarrangement(sys.arrangement, y)
-    return tuple(h.label for h in sorted(rest, key=Hyperplane.sort_key))
-
-
 def kernel_subspaces(
     sys: PfaffianSystem, y: LineDirection, lam: ConvolutionParameter
 ) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -93,7 +85,7 @@ def kernel_subspaces(
 
     The two spans always intersect trivially; this is asserted.
     """
-    order = block_order_of(sys, y)
+    order = sys.arrangement.along(y).blocks
     n = len(order)
     d = sys.dim_e
     big = n * d
@@ -140,15 +132,17 @@ def convolve(
 
     Residues over the enlarged arrangement, per transverse hyperplane block:
     transverse hyperplanes get one full block row, parallel ones act
-    blockwise diagonally, and each shifted rank-two flat receives the
-    antisymmetrized pair contribution.  Contributions landing on the same
-    hyperplane (always, for a good line) are summed into a single residue.
+    blockwise diagonally, and the shift X + Y of each rank-two flat X
+    receives the antisymmetrized contribution of every transverse pair
+    through X (two transverse hyperplanes meet in exactly one such X).
+    Contributions landing on the same hyperplane (always, for a good line)
+    are summed into a single residue.
     ``kernels`` is the caller's ``kernel_subspaces(sys, y, lam)``, if it has
     one; their invariance is asserted either way.
     """
     arr = sys.arrangement
-    par, rest = parallel_subarrangement(arr, y)
-    order = block_order_of(sys, y)
+    view = arr.along(y)
+    order = view.blocks
     n = len(order)
     if n == 0:
         raise InputError("no hyperplane is transverse to the line; nothing to convolve")
@@ -161,7 +155,6 @@ def convolve(
     d = sys.dim_e
     big = n * d
     pos = {lbl: p for p, lbl in enumerate(order)}
-    by_label = {h.label: h for h in arr.hyperplanes}
 
     acc: dict[tuple, list[list[Fraction]]] = {}
     key_of = {h.label: (h.coeffs, h.constant) for h in arr.hyperplanes}
@@ -180,7 +173,7 @@ def convolve(
             if lbl2 == lbl:
                 m = mat_add(m, mat_scale(identity(d), lam.value))
             _accumulate(t, p, q, m, d)
-    for h in par:
+    for h in view.parallel:
         t = target(key_of[h.label])
         m = sys.residues[h.label]
         for p in range(n):
@@ -188,34 +181,27 @@ def convolve(
 
     new_keys: dict[tuple, None] = {}
     existing_keys = set(key_of.values())
-    for lbl1, lbl2 in combinations(order, 2):
-        h1, h2 = by_label[lbl1], by_label[lbl2]
-        flat = _flat_from_augmented(
-            arr.ambient_dim, (h1.equation_row(), h2.equation_row())
-        )
-        if flat is None or flat.rank != 2:
-            continue
-        shifted = shift_flat_along(flat, y)
-        if shifted.rank != 1:
-            raise InternalError("transverse rank-two flat must shift to a hyperplane")
+    for x, shifted in view.shifts:
         row = shifted.rows[0]
         key = _canonical_form(row[:-1], -row[-1])
         if key not in existing_keys:
             new_keys[key] = None
         t = target(key)
-        p1, p2 = pos[lbl1], pos[lbl2]
-        a1, a2 = sys.residues[lbl1], sys.residues[lbl2]
-        _accumulate(t, p2, p2, a1, d)
-        _accumulate(t, p2, p1, mat_scale(a1, Fraction(-1)), d)
-        _accumulate(t, p1, p1, a2, d)
-        _accumulate(t, p1, p2, mat_scale(a2, Fraction(-1)), d)
+        through = [lbl for lbl in order if lbl in x.containing]
+        for lbl1, lbl2 in combinations(through, 2):
+            p1, p2 = pos[lbl1], pos[lbl2]
+            a1, a2 = sys.residues[lbl1], sys.residues[lbl2]
+            _accumulate(t, p2, p2, a1, d)
+            _accumulate(t, p2, p1, mat_scale(a1, Fraction(-1)), d)
+            _accumulate(t, p1, p1, a2, d)
+            _accumulate(t, p1, p2, mat_scale(a2, Fraction(-1)), d)
 
     # without new hyperplanes (always, on a good line) the input arrangement
     # is the convolution's, and its cached poset is shared
     merged = arr
     if new_keys:
         hyperplanes = list(arr.hyperplanes)
-        used_labels = set(by_label)
+        used_labels = set(key_of)
         counter = 0
         for key in sorted(new_keys):
             counter += 1

@@ -20,7 +20,6 @@ from .arrangement import (
     Flat,
     LineDirection,
     fiber_points,
-    parallel_subarrangement,
 )
 from .errors import InputError, NonIntegrableInput, ParameterIntegral
 from .fuchsian import FuchsianODE, standard_basepoint
@@ -93,8 +92,7 @@ class PfaffianSystem:
     def transverse_residues(self, y: LineDirection) -> list[tuple[str, Matrix]]:
         """(label, residue) for hyperplanes not parallel to y, in label order
         of the arrangement."""
-        _, rest = parallel_subarrangement(self.arrangement, y)
-        return [(h.label, self.residues[h.label]) for h in rest]
+        return [(h.label, self.residues[h.label]) for h in self.arrangement.along(y).transverse]
 
     def transverse_sum(self, y: LineDirection) -> Matrix:
         residues = (m for _, m in self.transverse_residues(y))

@@ -80,7 +80,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     return Arrangement.make(obj["dim"], hs)
 
 
-def _matrix_to_json(m: Matrix) -> list:
+def matrix_to_json(m: Matrix) -> list:
     return [[rational_str(x) for x in row] for row in m]
 
 
@@ -97,7 +97,7 @@ def system_to_json(sys: PfaffianSystem) -> dict:
         "arrangement": arrangement_to_json(sys.arrangement),
         "dimE": sys.dim_e,
         "residues": {
-            lbl: _matrix_to_json(m) for lbl, m in sorted(sys.residues.items())
+            lbl: matrix_to_json(m) for lbl, m in sorted(sys.residues.items())
         },
     }
 
@@ -117,7 +117,7 @@ def system_from_json(obj: dict, check: bool = True) -> PfaffianSystem:
 def tuple_to_json(t: MonodromyTuple) -> dict:
     out: dict = {"schema": SCHEMA, "rank": t.rank, "exact": t.exact}
     if t.exact:
-        out["matrices"] = [_matrix_to_json(m) for m in t.matrices]
+        out["matrices"] = [matrix_to_json(m) for m in t.matrices]
     else:
         out["matrices"] = [
             [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
@@ -167,3 +167,5 @@ def load_path(path: str) -> dict:
         raise InputError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc

@@ -19,8 +19,6 @@ from arrmc import (
     goodness_fiber_oracle,
     is_good_line,
     middle_convolve,
-    parallel_subarrangement,
-    shifted_family,
 )
 from arrmc import arrangement, serialization
 from arrmc.linalg import mat, mat_inverse, rank
@@ -101,11 +99,12 @@ def test_convolve_off_a_good_line_builds_the_enlarged_poset(monkeypatch):
     arr = serialization.arrangement_from_json(serialization.load_path(str(corpus)))
     sys_ = PfaffianSystem.make(arr, 1, {"y": [[F(1, 2)]], "d": [[F(1, 3)]]})
     cr = convolve(sys_, Y_AXIS, ConvolutionParameter.make(F(1, 5)), require_good=False)
-    # the shift of the origin adds x = 0, so the convolution needs a new
-    # arrangement, and its integrability check builds that poset once
+    # the shifts are read from the input's poset; the shift of the origin
+    # adds x = 0, so the convolution needs a new arrangement, and its
+    # integrability check builds that poset once
     enlarged = cr.system.arrangement
     assert enlarged is not arr and len(enlarged) == len(arr) + 1
-    assert [a is enlarged for a in built] == [True]
+    assert len(built) == 2 and built[0] is arr and built[1] is enlarged
 
 
 def test_poset_empty_arrangement():
@@ -175,31 +174,42 @@ def test_good_line_invariant_under_coordinate_change():
 
 
 def test_parallel_subarrangement():
-    par, rest = parallel_subarrangement(four_lines(), Y_AXIS)
-    assert sorted(h.label for h in par) == ["x", "x1"]
-    assert sorted(h.label for h in rest) == ["d", "y"]
+    view = four_lines().along(Y_AXIS)
+    assert [h.label for h in view.parallel] == ["x", "x1"]
+    assert [h.label for h in view.transverse] == ["y", "d"]
     arr = Arrangement.make(2, [H([0, 1], 0, "y")])
-    par, rest = parallel_subarrangement(arr, Y_AXIS)
-    assert not par and len(rest) == 1
-    par, rest = parallel_subarrangement(arr, LineDirection.make([1, 0]))
-    assert len(par) == 1 and not rest
+    assert not arr.along(Y_AXIS).parallel and len(arr.along(Y_AXIS).transverse) == 1
+    view = arr.along(LineDirection.make([1, 0]))
+    assert len(view.parallel) == 1 and not view.transverse
+
+
+def test_along_line_is_kept_per_direction():
+    arr = four_lines()
+    view = arr.along(Y_AXIS)
+    assert arr.along(LineDirection.make([0, 2])) is view
+    assert arr.along(LineDirection.make([1, 1])) is not view
+    assert view.blocks == ("y", "d")
+    # the last coordinate of a form is its value on y: zero iff parallel
+    assert {lbl for lbl, f in view.forms.items() if f[-1] == 0} == {"x", "x1"}
+    with pytest.raises(InputError, match="line direction dimension mismatch"):
+        arr.along(LineDirection.make([1]))
 
 
 def test_shifted_family_examples():
-    fam = shifted_family(four_lines(), Y_AXIS)
-    assert [h.label for h in fam] == ["x"]
-    fam = shifted_family(braid3(), Y_AXIS)
-    assert [h.label for h in fam] == ["x"]
+    x_axis = ((F(1), F(0), F(0)),)  # x = 0
+    for arr in (four_lines(), braid3()):
+        shifts = arr.along(Y_AXIS).shifts
+        assert shifts and all(shifted.rows == x_axis for _, shifted in shifts)
     # all transverse hyperplanes mutually parallel: nothing to shift
     arr = Arrangement.make(2, [H([0, 1], 0, "a"), H([0, 1], -1, "b")])
-    assert shifted_family(arr, Y_AXIS) == []
+    assert arr.along(Y_AXIS).shifts == ()
 
 
 def test_good_implies_shifted_family_inside():
     for arr in (four_lines(), braid3()):
-        members = arr.canonical_set()
-        for h in shifted_family(arr, Y_AXIS):
-            assert (h.coeffs, h.constant) in members
+        members = {f.rows for f in arr.poset.flats()}
+        for _, shifted in arr.along(Y_AXIS).shifts:
+            assert shifted.rows in members
 
 
 def test_cone_examples():

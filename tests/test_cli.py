@@ -311,6 +311,31 @@ def test_cli_convolve_rejects_bad_line(capsys, tmp_path):
     assert code == 2 and "not good" in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--line", "0,1,5", "--lambda", "1/5"),
+        ("check", "--line", "1", "--lambda", "1/5"),
+        ("compose-verify", "--line", "1", "--lambda", "1/5", "--mu", "1/7"),
+        ("rh-verify", "--line", "1", "--lambda", "1/5", "--base", "2"),
+        ("convolve", "--unchecked", "--line", "1", "--lambda", "1/5"),
+    ],
+)
+def test_cli_line_of_the_wrong_dimension_is_input_error(capsys, argv):
+    command, *rest = argv
+    code, rep = run_cli(capsys, command, corpus("four_lines_system.json"), *rest)
+    assert code == 2
+    assert rep["error"] == "line direction dimension mismatch"
+
+
+def test_cli_unreadable_input_is_input_error(capsys, tmp_path):
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\x80")
+    for path in (str(CORPUS), str(undecodable)):
+        code, rep = run_cli(capsys, "poset", path)
+        assert code == 2 and path in rep["error"]
+
+
 def test_cli_input_error_exit_codes(capsys):
     code, rep = run_cli(capsys, "poset", "/nonexistent/file.json")
     assert code == 2

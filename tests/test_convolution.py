@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from arrmc import (
+    Arrangement,
     ConvolutionParameter,
     DimensionMismatch,
+    Hyperplane,
+    LineDirection,
     NotGoodLine,
     ParameterIntegral,
     PfaffianSystem,
@@ -16,10 +21,15 @@ from arrmc import (
     middle_convolve,
     verify_composition_law,
 )
+from arrmc.arrangement import _canonical_form, _flat_from_augmented, shift_flat_along
 from arrmc.linalg import (
+    dot,
+    identity,
     mat,
+    mat_add,
     mat_inverse,
     mat_mul,
+    mat_scale,
     rank,
 )
 
@@ -32,6 +42,7 @@ from conftest import (
     line_system,
     mat_vec,
     nongood_pair,
+    random_arrangement,
 )
 
 LAM = ConvolutionParameter.make(F(1, 5))
@@ -255,3 +266,141 @@ def test_round_trip_identity_on_corpus():
         assert back.dim_e == sys.dim_e
         ok, s = is_isomorphic(back, sys)
         assert ok
+
+
+def _pair_shifts(arr, y):
+    """Transverse hyperplanes in canonical order, and (p1, h1, p2, h2, key)
+    for each pair that meets, with key the canonical form of its flat
+    shifted along y."""
+    rest = sorted(
+        (h for h in arr.hyperplanes if dot(h.coeffs, y.direction) != 0),
+        key=Hyperplane.sort_key,
+    )
+    pairs = []
+    for (p1, h1), (p2, h2) in combinations(enumerate(rest), 2):
+        flat = _flat_from_augmented(arr.ambient_dim, (h1.equation_row(), h2.equation_row()))
+        if flat is not None:
+            row = shift_flat_along(flat, y).rows[0]
+            pairs.append((p1, h1, p2, h2, _canonical_form(row[:-1], -row[-1])))
+    return rest, pairs
+
+
+def reference_convolve(sys, y, lam):
+    """The convolution's residues and enlarged arrangement, built pair by pair.
+
+    Each pair of transverse hyperplanes is intersected and its flat shifted
+    along y on its own; new shifts get ``S#`` labels in key order, skipping
+    used labels.  Kept as the reference for ``convolve``, which sums the
+    pairs per rank-two flat of the input's poset.
+    """
+    arr, d = sys.arrangement, sys.dim_e
+    par = [h for h in arr.hyperplanes if dot(h.coeffs, y.direction) == 0]
+    rest, pairs = _pair_shifts(arr, y)
+    n = len(rest)
+    acc = {}
+
+    def add(key, p, q, m):
+        t = acc.setdefault(key, [[F(0)] * (n * d) for _ in range(n * d)])
+        for i in range(d):
+            for j in range(d):
+                t[p * d + i][q * d + j] += m[i][j]
+
+    for p, h in enumerate(rest):
+        for q, h2 in enumerate(rest):
+            m = sys.residues[h2.label]
+            if q == p:
+                m = mat_add(m, mat_scale(identity(d), lam.value))
+            add(h.sort_key(), p, q, m)
+    for h in par:
+        for p in range(n):
+            add(h.sort_key(), p, p, sys.residues[h.label])
+    existing = {h.sort_key() for h in arr.hyperplanes}
+    new_keys = set()
+    for p1, h1, p2, h2, key in pairs:
+        if key not in existing:
+            new_keys.add(key)
+        a1, a2 = sys.residues[h1.label], sys.residues[h2.label]
+        add(key, p2, p2, a1)
+        add(key, p2, p1, mat_scale(a1, F(-1)))
+        add(key, p1, p1, a2)
+        add(key, p1, p2, mat_scale(a2, F(-1)))
+    hyperplanes = list(arr.hyperplanes)
+    used, counter = set(arr.labels()), 0
+    for key in sorted(new_keys):
+        counter += 1
+        while f"S{counter}" in used:
+            counter += 1
+        used.add(f"S{counter}")
+        hyperplanes.append(Hyperplane(key[0], key[1], f"S{counter}"))
+    zero = [[F(0)] * (n * d) for _ in range(n * d)]
+    residues = {h.label: mat(acc.get(h.sort_key(), zero)) for h in hyperplanes}
+    return Arrangement.make(arr.ambient_dim, hyperplanes), residues
+
+
+def _made_good(arr, y):
+    """The arrangement with every missing shift added: the shifts are
+    parallel to y, so they create no new rank-two flat met by two
+    transverse hyperplanes, and y is good for the result."""
+    keys = {h.sort_key() for h in arr.hyperplanes}
+    added = sorted({key for *_, key in _pair_shifts(arr, y)[1]} - keys)
+    extra = [Hyperplane(c, a, f"g{i}") for i, (c, a) in enumerate(added)]
+    return Arrangement.make(arr.ambient_dim, list(arr.hyperplanes) + extra)
+
+
+def _commuting_system(rng, arr):
+    """Residues P D_H P^-1 with one random P and diagonal D_H: integrable on
+    any arrangement."""
+    d = rng.randint(1, 2)
+    while True:
+        p = mat([[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)])
+        if rank(p) == d:
+            break
+    p_inv = mat_inverse(p)
+    residues = {}
+    for h in arr.hyperplanes:
+        diag = mat([[F(rng.randint(-3, 3), rng.randint(2, 7)) * (i == j) for j in range(d)] for i in range(d)])
+        residues[h.label] = mat_mul(p, mat_mul(diag, p_inv))
+    return PfaffianSystem.make(arr, d, residues)
+
+
+def _check_against_reference(sys, y, lam, require_good=True):
+    """``convolve`` gives the reference's labels, canonical forms and residues."""
+    ref_arr, ref_res = reference_convolve(sys, y, lam)
+    cr = convolve(sys, y, lam, require_good=require_good)
+    assert [(h.label, h.coeffs, h.constant) for h in cr.system.arrangement.hyperplanes] == [
+        (h.label, h.coeffs, h.constant) for h in ref_arr.hyperplanes
+    ]
+    assert cr.system.residues == ref_res
+
+
+def test_convolve_matches_the_pairwise_reference():
+    for sys, y in composition_corpus():  # the triple point included
+        _check_against_reference(sys, y, LAM)
+    sys = PfaffianSystem.make(nongood_pair(), 1, {"y": [[F(1, 2)]], "d": [[F(1, 3)]]})
+    _check_against_reference(sys, Y_AXIS, LAM, require_good=False)
+
+
+def test_convolve_matches_the_pairwise_reference_on_random_systems():
+    rng = random.Random(2012)
+    seen = {True: 0, False: 0}
+    compared = 0
+    while compared < 200:
+        dim = rng.choice((2, 3))
+        arr = random_arrangement(rng, dim, rng.randint(2, 4))
+        direction = [rng.randint(-1, 1) for _ in range(dim)]
+        if not any(direction):
+            continue
+        y = LineDirection.make(direction)
+        made_good = compared % 2 == 1
+        if made_good:
+            arr = _made_good(arr, y)
+        if not arr.along(y).transverse:
+            continue
+        sys = _commuting_system(rng, arr)
+        good = arr.along(y).witness is None
+        assert good or not made_good
+        lam = ConvolutionParameter.make(F(rng.choice((1, 2, 3, 4)), 5))
+        _check_against_reference(sys, y, lam, require_good=good)
+        seen[good] += 1
+        compared += 1
+    assert min(seen.values()) >= 70, seen
