@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -71,6 +72,17 @@ def _rational(s: str):
 
 def _parse_line(s: str) -> LineDirection:
     return LineDirection.make([_rational(part) for part in s.split(",")])
+
+
+def _tolerance(s: str) -> float:
+    """A tolerance from the command line: finite and positive, or a usage error."""
+    try:
+        x = float(s)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {s!r}")
+    return x
 
 
 def _parse_base(s: str):
@@ -355,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mu": dict(required=True, help="second parameter p/q"),
         "--base": dict(required=True, help='base point, e.g. "2" or "2,3"'),
         "--unchecked": dict(action="store_true", help="skip integrability at load"),
-        "--tol": dict(type=float, default=1e-10, help="integration tolerance"),
-        "--iso-tol": dict(type=float, default=1e-6),
-        "--rank-tol": dict(type=float, default=1e-9,
+        "--tol": dict(type=_tolerance, default=1e-10, help="integration tolerance"),
+        "--iso-tol": dict(type=_tolerance, default=1e-6),
+        "--rank-tol": dict(type=_tolerance, default=1e-9,
                            help="relative singular value threshold for numeric ranks"),
         "--samples": dict(type=int, help="fiber oracle sample count"),
         "--seed": dict(type=int, default=0, help="sample sequence offset"),
@@ -382,9 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("compose-verify", *system, "--mu")
     katz = sub.add_parser("katz-mc")
     katz.add_argument("input")
-    katz.add_argument("--lambda", dest="lam", help="character exponent p/q")
-    katz.add_argument("--scalar", help="exact rational character value")
-    katz.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-9)
+    character = katz.add_mutually_exclusive_group(required=True)
+    character.add_argument("--lambda", dest="lam", help="character exponent p/q")
+    character.add_argument("--scalar", help="exact rational character value")
+    katz.add_argument("--rank-tol", **options["--rank-tol"])
     katz.add_argument("--out")
     add("monodromy", "--line", "--base", "--unchecked", "--tol")
     add("rh-verify", *system, "--base", "--tol", "--iso-tol", "--rank-tol")
@@ -393,15 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _job_from_args(args) -> JobSpec:
     params: dict = {}
-    if getattr(args, "line", None):
+    if getattr(args, "line", None) is not None:
         params["line"] = _parse_line(args.line)
-    if getattr(args, "lam", None):
+    if getattr(args, "lam", None) is not None:
         params["lambda"] = ConvolutionParameter.make(_rational(args.lam))
-    if getattr(args, "mu", None):
+    if getattr(args, "mu", None) is not None:
         params["mu"] = ConvolutionParameter.make(_rational(args.mu))
     if getattr(args, "base", None) is not None:
         params["base"] = _parse_base(args.base)
-    if getattr(args, "scalar", None):
+    if getattr(args, "scalar", None) is not None:
         params["scalar"] = _rational(args.scalar)
     if getattr(args, "unchecked", False):
         params["unchecked"] = True
@@ -421,8 +434,6 @@ def _job_from_args(args) -> JobSpec:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "katz-mc" and not (getattr(args, "lam", None) or getattr(args, "scalar", None)):
-        parser.error("katz-mc needs --lambda or --scalar")
     try:
         job = _job_from_args(args)
     except ArrmcError as exc:

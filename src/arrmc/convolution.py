@@ -31,17 +31,14 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
-    find_invertible_combination,
     identity,
-    intertwiner_space,
+    invariant_projection,
+    invertible_intertwiner,
     mat_add,
-    mat_mul,
     mat_scale,
     nullspace,
     quotient,
     rank,
-    rref,
-    transpose,
 )
 from .pfaffian import (
     ConvolutionParameter,
@@ -221,24 +218,10 @@ def convolve(
     out = PfaffianSystem.make(merged, big, residues, check=True)
 
     k_cols, l_cols = kernel_subspaces(sys, y, lam) if kernels is None else kernels
-    _assert_invariant(out, k_cols, "blockwise kernel")
-    _assert_invariant(out, l_cols, "diagonal kernel")
+    mats = list(out.residues.values())
+    invariant_projection(mats, list(k_cols), big, "blockwise kernel")
+    invariant_projection(mats, list(l_cols), big, "diagonal kernel")
     return ConvolutionResult(out, order, k_cols, l_cols)
-
-
-def _assert_invariant(sys: PfaffianSystem, cols: tuple[Vector, ...], name: str) -> None:
-    """Each residue maps span(cols) into itself: every image, reduced
-    against the echelon form of ``cols``, vanishes in the free columns."""
-    if not cols:
-        return
-    red, pivots = rref(cols)
-    free = [j for j in range(len(cols[0])) if j not in pivots]
-    basis = transpose(cols)
-    for m in sys.residues.values():
-        for image in transpose(mat_mul(m, basis)):
-            terms = [(image[p], row) for p, row in zip(pivots, red) if image[p]]
-            if any(image[j] != sum((c * row[j] for c, row in terms), Fraction(0)) for j in free):
-                raise InternalError(f"{name} is not invariant under a residue")
 
 
 def middle_convolve(
@@ -277,7 +260,7 @@ def is_isomorphic(
         (s1.residues[h.label], by_key2[(h.coeffs, h.constant)])
         for h in s1.arrangement.hyperplanes
     ]
-    s = find_invertible_combination(intertwiner_space(pairs, d), d)
+    s = invertible_intertwiner(pairs, d)
     return s is not None, s
 
 

@@ -155,23 +155,23 @@ def lasso_loop(base: complex, pole: complex, radius: float, poles) -> LoopPath:
     raise InternalError("could not route a clear loop around the pole")
 
 
-def standard_loops(poles, basepoint: complex | None = None):
+def standard_loops(poles, basepoint: complex):
     """Loops around each pole in the standard convention.
 
     Poles are sorted by (real, imaginary) part; the base point sits below
-    all poles; each loop is a counterclockwise polygonal lasso of radius one
-    third of the minimal pole gap.  Returns (basepoint, loops, order) where
+    all poles, as ``standard_basepoint`` places it; each loop is a
+    counterclockwise polygonal lasso of radius one third of the minimal pole
+    gap.  Returns (basepoint, loops, order) where
     order[i] is the index of the i-th sorted pole in the input sequence.
     """
     poles = list(poles)
     order = sorted(range(len(poles)), key=lambda i: (poles[i].real, poles[i].imag))
-    base = standard_basepoint(poles) if basepoint is None else basepoint
     if not poles:
-        return base, [], []
+        return basepoint, [], []
     gaps = [abs(poles[i] - poles[j]) for i in range(len(poles)) for j in range(i)]
     radius = (min(gaps) / 3) if gaps else 1.0
-    loops = [lasso_loop(base, poles[i], radius, poles) for i in order]
-    return base, loops, order
+    loops = [lasso_loop(basepoint, poles[i], radius, poles) for i in order]
+    return basepoint, loops, order
 
 
 def enclosing_polyline(poles, base: complex) -> tuple[complex, ...]:

@@ -134,7 +134,7 @@ class MonodromyTuple:
         for m in ms:
             if la.shape(m) != (r, r):
                 raise DimensionMismatch("tuple matrices must share a square shape")
-            if la.det(m) == 0:
+            if la.rank(m) != r:
                 raise SingularInput("tuple matrix is singular")
         return MonodromyTuple(r, ms, True, tuple(labels) if labels else None)
 
@@ -406,9 +406,10 @@ def invariants_match(t1: MonodromyTuple, t2: MonodromyTuple, tol: float) -> bool
     return True
 
 
-def tuple_isomorphism(
-    t1: MonodromyTuple, t2: MonodromyTuple, tol: float = 1e-6, svd_tol: float = 1e-9
-):
+_SVD_TOL = 1e-9  # floor of the relative cut for candidate intertwiner directions
+
+
+def tuple_isomorphism(t1: MonodromyTuple, t2: MonodromyTuple, tol: float = 1e-6):
     """Simultaneous conjugator S with S M1_k = M2_k S, if one exists."""
     if t1.npoints != t2.npoints or t1.rank != t2.rank:
         raise DimensionMismatch("tuples must share rank and length")
@@ -417,7 +418,7 @@ def tuple_isomorphism(
         return True, np.zeros((0, 0), dtype=complex)
     if t1.exact and t2.exact:
         pairs = list(zip(t1.matrices, t2.matrices))
-        s = la.find_invertible_combination(la.intertwiner_space(pairs, r), r)
+        s = la.invertible_intertwiner(pairs, r)
         return s is not None, s
     a = t1.to_numeric().matrices
     b = t2.to_numeric().matrices
@@ -430,7 +431,7 @@ def tuple_isomorphism(
     scale = max([1.0] + [float(np.max(np.abs(m), initial=0.0)) for m in a + b])
     # candidate directions: singular vectors whose residual already beats the
     # isomorphism tolerance; the final residual check below rejects impostors
-    cut = scale * max(svd_tol, tol / 10.0)
+    cut = scale * max(_SVD_TOL, tol / 10.0)
     _, sv_sys, vh = np.linalg.svd(system)
     keep = int(np.sum(sv_sys > cut))
     basis = vh[keep:].conj().T

@@ -15,10 +15,15 @@ integer rows and makes ``Fraction`` entries only for its output.  Both
 choose pivots left to right, and the reduced form is unique, so callers
 see the canonical rows over Q.
 
-Two tests of the middle convolution reuse that elimination.
-``kernel_pencil_ok``, the star test, grows an observability row space on
-integer rows.  ``quotient`` reads a quotient off the one rref that
-``extend_to_basis`` runs, with no change of basis and no inverse.
+Every exact decision reuses that elimination, each in one function.
+A d x d matrix is nonsingular iff its ``rank`` is d; there is no
+determinant.  ``kernel_pencil_ok``, the star test, grows an observability
+row space on integer rows.  ``invariant_projection`` reads the projection
+Pi along span(cols) off the one rref of ``_reduced_span`` and checks
+Pi M cols = 0, the invariance every quotient of the middle convolution needs;
+``quotient`` presents Pi M on the complement, with no change of basis and no
+inverse.  ``invertible_intertwiner`` is the exact isomorphism search: an
+invertible element of the intertwiner space, found by ``rank``.
 """
 
 from __future__ import annotations
@@ -216,42 +221,6 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
     return basis
 
 
-def det(m: Matrix) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    rows = [list(r) for r in m]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        out *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * out
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(m)]
-    red, pivots = rref(tuple(tuple(r) for r in aug))
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(r[n:] for r in red)
-
-
 def charpoly(m: Matrix) -> Poly:
     """Monic characteristic polynomial, coefficients low to high degree.
 
@@ -421,37 +390,42 @@ def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
     return _reduced_span(cols, dim)[2]
 
 
-def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
-    """Action of each dim x dim matrix on C^dim / span(cols).
-
-    The quotient is presented on the complement C spanned by the standard
-    basis vectors that ``extend_to_basis`` chooses.  With B the reduced
-    basis of span(cols), the identity on the skipped coordinates S, the
-    class of v has coordinates v[C] - B[C,:] v[S]; that projection Pi is
-    [1 on C | -B[C,:] on S].  The quotient Q of M is the columns C of Pi M,
-    and span(cols) is invariant iff Pi M B = 0, which reads
-    (Pi M)[:, S] + Q B[C,:] = 0 as B is the identity on S.  Raises
-    InternalError when ``cols`` are dependent or their span is not
+def invariant_projection(
+    mats: list[Matrix], cols: list[Vector], dim: int, what: str
+) -> tuple[list[int], Matrix]:
+    """The complement C of span(``cols``) and the projection Pi along
+    span(cols) onto it, once every dim x dim M is checked to leave span(cols)
     invariant.
+
+    C holds the standard basis vectors that ``extend_to_basis`` chooses.
+    With B the reduced basis of span(cols), the identity on the skipped
+    coordinates S, the class of v has coordinates v[C] - B[C,:] v[S]; that
+    projection Pi is [1 on C | -B[C,:] on S], and its kernel is span(cols).
+    So span(cols) is invariant under M iff Pi M cols = 0.  Raises
+    InternalError, naming ``what``, for the first M where it is not, and
+    when ``cols`` are dependent.
     """
     basis, skipped, comp = _reduced_span(cols, dim)
-    b_comp = tuple(tuple(b[c] for b in basis) for c in comp)
     proj = []
-    for c, coeffs in zip(comp, b_comp):
+    for c in comp:
         row = [Fraction(0)] * dim
         row[c] = Fraction(1)
-        for s, x in zip(skipped, coeffs):
-            row[s] = -x
+        for s, b in zip(skipped, basis):
+            row[s] = -b[c]
         proj.append(tuple(row))
-    out = []
-    for m in mats:
-        pm = mat_mul(proj, m)
-        q = tuple(tuple(r[c] for c in comp) for r in pm)
-        on_span = mat_add(mat_mul(q, b_comp), tuple(tuple(r[s] for s in skipped) for r in pm))
-        if not is_zero_matrix(on_span):
-            raise InternalError("span is not invariant; quotient ill-defined")
-        out.append(q)
-    return out
+    if cols and comp:
+        span = transpose(tuple(cols))
+        for m in mats:
+            if not is_zero_matrix(mat_mul(proj, mat_mul(m, span))):
+                raise InternalError(f"{what} is not invariant; quotient ill-defined")
+    return comp, tuple(proj)
+
+
+def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
+    """Action of each dim x dim matrix M on C^dim / span(cols), presented on
+    the complement C of ``invariant_projection``: Pi M restricted to C."""
+    comp, proj = invariant_projection(mats, cols, dim, "span")
+    return [mat_mul(proj, tuple(tuple(r[c] for c in comp) for r in m)) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +467,7 @@ def find_invertible_combination(basis: list[Matrix], d: int) -> Matrix | None:
     from itertools import product as _product
 
     for s in basis:
-        if det(s) != 0:
+        if rank(s) == d:
             return s
     m = len(basis)
     if m <= 1:
@@ -505,7 +479,7 @@ def find_invertible_combination(basis: list[Matrix], d: int) -> Matrix | None:
             cand = mat_scale(basis[0], Fraction(coeffs[0]))
             for c, s in zip(coeffs[1:], basis[1:]):
                 cand = mat_add(cand, mat_scale(s, Fraction(c)))
-            if det(cand) != 0:
+            if rank(cand) == d:
                 return cand
         return None
     rng = random.Random(_SEARCH_SEED)
@@ -514,6 +488,12 @@ def find_invertible_combination(basis: list[Matrix], d: int) -> Matrix | None:
         cand = mat_scale(basis[0], coeffs[0])
         for c, s in zip(coeffs[1:], basis[1:]):
             cand = mat_add(cand, mat_scale(s, c))
-        if det(cand) != 0:
+        if rank(cand) == d:
             return cand
     return None
+
+
+def invertible_intertwiner(pairs: list[tuple[Matrix, Matrix]], d: int) -> Matrix | None:
+    """An invertible S with S A = B S for every pair (A, B) of d x d
+    matrices, or None when there is none: the exact isomorphism search."""
+    return find_invertible_combination(intertwiner_space(pairs, d), d)

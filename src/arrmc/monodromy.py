@@ -51,6 +51,9 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
 _MAX_ORDER = 10_000
 _CHUNK = 64  # discs per batched recurrence; bounds the working set
+# largest relative gap between the ordered product of the loop transports and
+# the transport along the enclosing loop
+_CONSISTENCY_TOL = 1e-6
 
 
 def _disc_chain(points, poles, theta: float) -> list[tuple[complex, complex]]:
@@ -180,9 +183,7 @@ class TupleExtraction:
     infinity_residue: np.ndarray
 
 
-def monodromy_tuple_of_ode(
-    ode: FuchsianODE, tol: float = 1e-10, consistency_tol: float = 1e-6
-) -> TupleExtraction:
+def monodromy_tuple_of_ode(ode: FuchsianODE, tol: float = 1e-10) -> TupleExtraction:
     base, loops, order = standard_loops(ode.poles, ode.basepoint)
     labels = [ode.labels[i] for i in order]
     mats = []
@@ -195,7 +196,7 @@ def monodromy_tuple_of_ode(
             prod = prod @ m
         scale = max(1.0, float(np.max(np.abs(t_big), initial=0.0)))
         residual = float(np.max(np.abs(prod - t_big), initial=0.0)) / scale
-        if residual > consistency_tol:
+        if residual > _CONSISTENCY_TOL:
             raise ToleranceNotMet(
                 f"loop product inconsistent with the enclosing transport: {residual:.3e}"
             )
@@ -203,17 +204,11 @@ def monodromy_tuple_of_ode(
     return TupleExtraction(t, base, residual, ode.residue_at_infinity())
 
 
-def monodromy_tuple_of_system(
-    sys: PfaffianSystem,
-    y,
-    base,
-    tol: float = 1e-10,
-    consistency_tol: float = 1e-6,
-) -> TupleExtraction:
+def monodromy_tuple_of_system(sys: PfaffianSystem, y, base, tol: float = 1e-10) -> TupleExtraction:
     """Fiber restriction followed by loop transports in the standard
     convention; punctures are ordered by (real, imaginary) part."""
     ode = fiber_restriction(sys, y, base)
-    return monodromy_tuple_of_ode(ode, tol, consistency_tol)
+    return monodromy_tuple_of_ode(ode, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def _check_fields(obj: dict, required, optional=()):
         raise InputError(f"unsupported schema version {obj.get('schema')}")
 
 
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a JSON list, got {type(x).__name__}")
+    return x
+
+
 def _parse_rational(x) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"rationals must be strings or integers, got {x!r}")
@@ -68,11 +74,11 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     if not isinstance(obj["dim"], int) or obj["dim"] < 1:
         raise InputError("dim must be a positive integer")
     hs = []
-    for entry in obj["hyperplanes"]:
+    for entry in _list(obj["hyperplanes"], "hyperplanes"):
         _check_fields(entry, ("label", "coeffs", "constant"))
         hs.append(
             Hyperplane.make(
-                [_parse_rational(c) for c in entry["coeffs"]],
+                [_parse_rational(c) for c in _list(entry["coeffs"], "coeffs")],
                 _parse_rational(entry["constant"]),
                 str(entry["label"]),
             )
@@ -85,7 +91,10 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def _matrix_from_json(rows, d: int) -> Matrix:
-    out = tuple(tuple(_parse_rational(x) for x in row) for row in rows)
+    out = tuple(
+        tuple(_parse_rational(x) for x in _list(row, "a matrix row"))
+        for row in _list(rows, "a matrix")
+    )
     if len(out) != d or any(len(r) != d for r in out):
         raise InputError(f"residue matrix is not {d} x {d}")
     return out
@@ -108,6 +117,8 @@ def system_from_json(obj: dict, check: bool = True) -> PfaffianSystem:
     d = obj["dimE"]
     if not isinstance(d, int) or d < 0:
         raise InputError("dimE must be a nonnegative integer")
+    if not isinstance(obj["residues"], dict):
+        raise InputError("residues must be a JSON object")
     residues = {
         str(lbl): _matrix_from_json(rows, d) for lbl, rows in obj["residues"].items()
     }
@@ -134,11 +145,15 @@ def tuple_from_json(obj: dict) -> MonodromyTuple:
     if not isinstance(rank, int) or rank < 0:
         raise InputError("rank must be a nonnegative integer")
     labels = obj.get("labels")
+    if labels is not None:
+        _list(labels, "labels")
+    matrices = _list(obj["matrices"], "matrices")
     if obj.get("exact", False):
-        mats = [_matrix_from_json(rows, rank) for rows in obj["matrices"]]
+        mats = [_matrix_from_json(rows, rank) for rows in matrices]
         return MonodromyTuple.exact_tuple(mats, labels)
     mats = []
-    for rows in obj["matrices"]:
+    for rows in matrices:
+        rows = [_list(r, "a matrix row") for r in _list(rows, "a matrix")]
         if len(rows) != rank or any(len(r) != rank for r in rows):
             raise InputError(f"tuple matrix is not {rank} x {rank}")
         mats.append(

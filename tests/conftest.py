@@ -12,7 +12,8 @@ from arrmc import (
     LineDirection,
     PfaffianSystem,
 )
-from arrmc.linalg import Matrix, Vector, mat, rank, rref
+from arrmc.errors import InternalError
+from arrmc.linalg import Matrix, Vector, mat, mat_mul, rank, rref, transpose
 
 Y_AXIS = LineDirection.make([0, 1])
 
@@ -108,6 +109,60 @@ def in_span(v: Vector, cols: list[Vector]) -> bool:
         return False
     base = tuple(cols)
     return rank(base) == rank(base + (v,))
+
+
+def det(m: Matrix) -> F:
+    """Determinant by Fraction Gaussian elimination: the reference for the
+    nonsingularity tests, which the library decides by ``rank``."""
+    n = len(m)
+    if n == 0:
+        return F(1)
+    rows = [list(r) for r in m]
+    sign = 1
+    out = F(1)
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            return F(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        out *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * out
+
+
+def mat_inverse(m: Matrix) -> Matrix:
+    n = len(m)
+    aug = [list(r) + [F(1 if i == j else 0) for j in range(n)] for i, r in enumerate(m)]
+    red, pivots = rref(tuple(tuple(r) for r in aug))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(r[n:] for r in red)
+
+
+def assert_invariant(mats: list[Matrix], cols: tuple[Vector, ...], name: str) -> None:
+    """Each matrix maps span(cols) into itself: every image, reduced against
+    the echelon form of ``cols``, vanishes in the free columns.  The
+    reference for ``linalg.invariant_projection``."""
+    if not cols:
+        return
+    red, pivots = rref(cols)
+    free = [j for j in range(len(cols[0])) if j not in pivots]
+    basis = transpose(cols)
+    for m in mats:
+        for image in transpose(mat_mul(m, basis)):
+            terms = [(image[p], row) for p, row in zip(pivots, red) if image[p]]
+            if any(image[j] != sum((c * row[j] for c, row in terms), F(0)) for j in free):
+                raise InternalError(f"{name} is not invariant under a residue")
 
 
 def line_points(qs) -> Arrangement:

@@ -21,13 +21,14 @@ from arrmc import (
     middle_convolve,
 )
 from arrmc import arrangement, serialization
-from arrmc.linalg import mat, mat_inverse, rank
+from arrmc.linalg import mat, rank
 
 from conftest import (
     Y_AXIS,
     braid3,
     brute_force_poset,
     four_lines,
+    mat_inverse,
     mat_vec,
     nongood_pair,
     random_arrangement,

@@ -432,6 +432,14 @@ def test_cli_rh_verify_of_rank_zero_system(capsys, tmp_path):
         ("rh-verify", "four_lines_system.json", "--line", "0,1",
          "--lambda", "1/5", "--base", "2,y"),
         ("katz-mc", "exact_tuple.json", "--scalar", "two"),
+        # empty values; only --base= is a valid empty value
+        ("check", "four_lines_system.json", "--line", "0,1", "--lambda="),
+        ("check", "four_lines_system.json", "--line=", "--lambda", "1/5"),
+        ("goodline", "four_lines_arrangement.json", "--line="),
+        ("compose-verify", "four_lines_system.json", "--line", "0,1",
+         "--lambda", "1/5", "--mu="),
+        ("katz-mc", "exact_tuple.json", "--scalar="),
+        ("katz-mc", "exact_tuple.json", "--lambda="),
     ],
 )
 def test_cli_malformed_rational_is_input_error(capsys, argv):
@@ -441,6 +449,67 @@ def test_cli_malformed_rational_is_input_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "rational" in captured.err
+
+
+def exit_code(argv) -> int:
+    """The exit code of ``arrmc argv``, whether main returns it or argparse
+    exits with it."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "character",
+    [(), ("--lambda", "1/5", "--scalar", "2"), ("--scalar", "2", "--lambda=1/2")],
+)
+def test_cli_katz_mc_takes_exactly_one_character_option(capsys, character):
+    assert exit_code(["katz-mc", corpus("exact_tuple.json"), *character]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "-1e-9"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rh-verify", "four_lines_system.json", "--line", "0,1", "--lambda", "1/5",
+         "--base", "2", "--tol"),
+        ("rh-verify", "four_lines_system.json", "--line", "0,1", "--lambda", "1/5",
+         "--base", "2", "--iso-tol"),
+        ("rh-verify", "four_lines_system.json", "--line", "0,1", "--lambda", "1/5",
+         "--base", "2", "--rank-tol"),
+        ("monodromy", "four_lines_system.json", "--line", "0,1", "--base", "2", "--tol"),
+        ("katz-mc", "exact_tuple.json", "--lambda", "1/5", "--rank-tol"),
+    ],
+)
+def test_cli_tolerance_must_be_finite_and_positive(capsys, argv, value):
+    command, name, *rest, option = argv
+    # "--tol=-inf": a separate "-inf" would be taken for an option
+    assert exit_code([command, corpus(name), *rest, f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite and positive" in captured.err
+
+
+ARRANGEMENT = {"dim": 1, "hyperplanes": [{"label": "h", "coeffs": ["1"], "constant": "0"}]}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("poset", {"dim": 2, "hyperplanes": 5}),
+        ("poset", {"dim": 2, "hyperplanes": [{"label": "h", "coeffs": "12", "constant": "0"}]}),
+        ("check", {"arrangement": ARRANGEMENT, "dimE": 1, "residues": [["1"]]}),
+        ("check", {"arrangement": ARRANGEMENT, "dimE": 1, "residues": {"h": "1"}}),
+        ("katz-mc", {"rank": 1, "exact": True, "matrices": 5}),
+    ],
+)
+def test_cli_input_of_the_wrong_container_type_is_input_error(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    options = {"check": ["--line", "1", "--lambda", "1/5"], "katz-mc": ["--scalar", "2"]}
+    code, rep = run_cli(capsys, command, str(path), *options.get(command, []))
+    assert code == 2 and "error" in rep
 
 
 def test_cli_check_unchecked_reports_nonintegrable(capsys, tmp_path):

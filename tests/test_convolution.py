@@ -22,12 +22,12 @@ from arrmc import (
     verify_composition_law,
 )
 from arrmc.arrangement import _canonical_form, _flat_from_augmented, shift_flat_along
+from arrmc.errors import InternalError
 from arrmc.linalg import (
     dot,
     identity,
     mat,
     mat_add,
-    mat_inverse,
     mat_mul,
     mat_scale,
     rank,
@@ -40,6 +40,7 @@ from conftest import (
     in_span,
     kz_system,
     line_system,
+    mat_inverse,
     mat_vec,
     nongood_pair,
     random_arrangement,
@@ -138,6 +139,16 @@ def test_kernel_spans_are_invariant():
             for v in cols:
                 image = mat_vec(m, v)
                 assert in_span(image, cols)
+
+
+def test_convolve_names_the_kernel_that_is_not_invariant():
+    sys = kz_system()
+    big = convolve(sys, Y_AXIS, LAM).system.dim_e
+    e1 = tuple(F(int(i == 1)) for i in range(big))
+    with pytest.raises(InternalError, match="^blockwise kernel is not invariant"):
+        convolve(sys, Y_AXIS, LAM, kernels=((e1,), ()))
+    with pytest.raises(InternalError, match="^diagonal kernel is not invariant"):
+        convolve(sys, Y_AXIS, LAM, kernels=((), (e1,)))
 
 
 def test_middle_convolve_dimension_formula():

@@ -23,7 +23,9 @@ from arrmc.katz import (
     multiplicative_kernels,
     quotient_by_fixed_spaces,
 )
-from arrmc.linalg import mat_inverse, mat_mul
+from arrmc.linalg import mat_mul
+
+from conftest import mat_inverse
 
 
 def unit(lam_num, lam_den):

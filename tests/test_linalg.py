@@ -10,17 +10,17 @@ from arrmc import ConvolutionParameter, convolve
 from arrmc.errors import InternalError
 from arrmc.linalg import (
     charpoly,
-    det,
     extend_to_basis,
     find_invertible_combination,
     from_columns,
     identity,
     integer_eigenvalues,
     intertwiner_space,
+    invariant_projection,
+    invertible_intertwiner,
     joint_kernel,
     kernel_pencil_ok,
     mat,
-    mat_inverse,
     mat_add,
     mat_mul,
     mat_scale,
@@ -36,7 +36,7 @@ from arrmc.linalg import (
     zeros,
 )
 
-from conftest import X_AXIS_1D, composition_corpus, line_system
+from conftest import X_AXIS_1D, assert_invariant, composition_corpus, det, line_system, mat_inverse
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
@@ -334,6 +334,8 @@ def test_intertwiner_space_and_search():
     s = find_invertible_combination(space, 2)
     assert s is not None
     assert mat_mul(s, a) == mat_mul(b, s)
+    assert invertible_intertwiner([(a, b)], 2) == s
+    assert invertible_intertwiner([(a, mat([[1, 0], [0, 3]]))], 2) is None
 
 
 def test_find_invertible_none_for_degenerate_span():
@@ -348,6 +350,10 @@ def test_quotient_refuses_non_invariant_span():
     assert quotient([m], [(F(1), F(0))], 2) == [mat([[2]])]
     with pytest.raises(InternalError, match="not invariant"):
         quotient([m], [(F(0), F(1))], 2)
+    # the projection along e1 onto e2, and the error names the span
+    assert invariant_projection([m], [(F(1), F(0))], 2, "blockwise kernel") == ([1], mat([[0, 1]]))
+    with pytest.raises(InternalError, match="^diagonal kernel is not invariant"):
+        invariant_projection([m], [(F(0), F(1))], 2, "diagonal kernel")
 
 
 def test_quotient_refuses_dependent_columns():
@@ -427,6 +433,110 @@ def test_quotient_matches_change_of_basis_reference_on_convolutions():
         assert quotient(mats, kl, big) == reference_quotient(mats, kl, big)
         both += bool(cr.block_kernel_basis) and bool(cr.diagonal_kernel_basis)
     assert both >= 5
+
+
+def invariance_refusal(check, mats, cols, dim):
+    """The InternalError message of an invariance check, or None if it passes."""
+    try:
+        check(mats, cols, dim)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def test_invariant_projection_matches_reduction_reference():
+    """Seeded random spans, invariant and not, against the old reduction of
+    every image by the echelon form of the span.  The matrices are block
+    upper triangular in the basis [cols | the chosen e_j] plus, in a third of
+    the cases, one nonzero entry of the lower-left block, which puts the
+    violation into a single row of Pi M cols."""
+    rng = random.Random(2014)
+    seen = {"kept": 0, "one row": 0, "dense": 0}
+    for case in range(300):
+        dim = rng.randint(1, 7)
+        k = rng.randint(0, dim)
+        cols = list(transpose(_invertible(rng, dim))[:k])
+        comp = extend_to_basis(cols, dim)
+        p = from_columns(cols + [identity(dim)[j] for j in comp], dim)
+        p_inv = mat_inverse(p)
+        kind = case % 3 if 0 < k < dim else 0
+        bad = rng.randrange(3)
+        mats = []
+        for i in range(3):
+            m = [list(r) for r in sparse_rational(rng, dim, dim, 0.4)]
+            if kind != 2 or i != bad:
+                for r in range(k, dim):
+                    m[r][:k] = [F(0)] * k
+            if kind == 1 and i == bad:
+                m[rng.randrange(k, dim)][rng.randrange(k)] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+            mats.append(mat_mul(p, mat_mul(mat(m), p_inv)))
+        want = invariance_refusal(
+            lambda ms, cs, _: assert_invariant(ms, tuple(cs), "span"), mats, cols, dim
+        )
+        got = invariance_refusal(
+            lambda ms, cs, n: invariant_projection(ms, cs, n, "span"), mats, cols, dim
+        )
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == "span is not invariant; quotient ill-defined"
+            assert invariance_refusal(quotient, mats, cols, dim) == got
+        seen["kept" if got is None else ("one row", "dense")[kind - 1]] += 1
+    assert seen["kept"] > 150 and seen["one row"] > 40 and seen["dense"] > 40
+
+
+def reference_find_invertible_combination(basis, d):
+    """The search as it was written with ``det``: same candidates, same order."""
+    for s in basis:
+        if det(s) != 0:
+            return s
+    m = len(basis)
+    if m <= 1:
+        return None
+    if m <= 4:
+        for coeffs in itertools.product(range(d + 1), repeat=m):
+            if sum(coeffs) == 0:
+                continue
+            cand = reduce(mat_add, (mat_scale(s, F(c)) for c, s in zip(coeffs, basis)))
+            if det(cand) != 0:
+                return cand
+        return None
+    rng = random.Random(0x5EBA11)
+    for _ in range(max(128, d + 1)):
+        coeffs = [F(rng.randrange(-(1 << 70), 1 << 70)) for _ in range(m)]
+        cand = reduce(mat_add, (mat_scale(s, c) for c, s in zip(coeffs, basis)))
+        if det(cand) != 0:
+            return cand
+    return None
+
+
+def test_invertible_combination_by_rank_matches_det_reference():
+    """Spans with and without an invertible element, found by a single basis
+    element, on the grid or by the random search, against the ``det`` search."""
+    rng = random.Random(2015)
+    found = {"single": 0, "grid": 0, "random": 0, "none": 0}
+    for case in range(120):
+        d = rng.randint(1, 4)
+        m = rng.randint(1, 6)
+        if case % 2:
+            basis = [low_rank(rng, d) for _ in range(m)]
+        else:
+            # intertwiners of a tuple with a conjugate of itself
+            a = [sparse_rational(rng, d, d, 0.6) for _ in range(rng.randint(1, 2))]
+            p = _invertible(rng, d)
+            p_inv = mat_inverse(p)
+            basis = intertwiner_space([(x, mat_mul(p, mat_mul(x, p_inv))) for x in a], d)
+            m = len(basis)
+        got = find_invertible_combination(basis, d)
+        assert got == reference_find_invertible_combination(basis, d)
+        if got is None:
+            found["none"] += 1
+        elif got in basis:
+            found["single"] += 1
+        else:
+            found["grid" if m <= 4 else "random"] += 1
+        if got is not None:
+            assert rank(got) == d
+    assert all(count >= 5 for count in found.values()), found
 
 
 def dense_mat_mul(a, b):

@@ -29,7 +29,7 @@ from arrmc.monodromy import (
     monodromy_tuple_of_ode,
 )
 
-from conftest import Y_AXIS, four_lines_system, kz_system
+from conftest import Y_AXIS, four_lines_system, kz_system, mat_inverse
 
 TOL = 1e-10
 
@@ -126,7 +126,7 @@ def test_monodromy_zero_residue_system_gives_identities():
 def test_monodromy_gauge_invariance():
     sys = kz_system()
     p = ((F(1), F(1)), (F(0), F(1)))
-    from arrmc.linalg import mat_inverse, mat_mul
+    from arrmc.linalg import mat_mul
 
     conj = PfaffianSystem.make(
         sys.arrangement,
