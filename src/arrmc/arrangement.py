@@ -1,6 +1,7 @@
 """Exact combinatorics of affine hyperplane arrangements.
 
-Intersection posets, the arrangement seen along a line direction
+Intersection posets (covers decided by containing sets), the arrangement
+seen along a line direction
 (``AlongLine``: the parallel/transverse split, the shifts X + Y and the
 coordinates along the line), good-line detection, cone/decone and fiber
 points.  All data is rational and canonicalized, so equality of hyperplanes
@@ -153,11 +154,11 @@ class Flat:
         return tuple(r[:-1] for r in self.rows)
 
     def point(self) -> Vector:
-        """Canonical point: free variables zero, pivots from the rhs."""
+        """Canonical point: free variables zero, and each row's pivot, its
+        first nonzero entry, equal to the row's rhs."""
         x = [Fraction(0)] * self.ambient_dim
-        _, pivots = rref(self.coefficient_rows()) if self.rows else ((), ())
-        for r, p in zip(self.rows, pivots):
-            x[p] = r[-1]
+        for r in self.rows:
+            x[next(j for j, c in enumerate(r) if c)] = r[-1]
         return tuple(x)
 
     def directions(self) -> list[Vector]:
@@ -165,13 +166,6 @@ class Flat:
         if not self.rows:
             return nullspace((), self.ambient_dim)
         return nullspace(self.coefficient_rows())
-
-    def contains_flat(self, other: "Flat") -> bool:
-        """True iff ``other`` is a subset of this flat (both nonempty)."""
-        if not self.rows:
-            return True
-        stacked = other.rows + self.rows
-        return rank(stacked) == other.rank
 
     def contains_hyperplane_locus(self, h: Hyperplane) -> bool:
         """True iff the flat is contained in the hyperplane ``h``."""
@@ -200,7 +194,10 @@ def whole_space_flat(arr: Arrangement) -> Flat:
 
 @dataclass(frozen=True)
 class IntersectionPoset:
-    """Flats grouped by rank with cover relations by inclusion."""
+    """Flats grouped by rank with cover relations by inclusion.
+
+    Each flat carries its containing set, and f contains g exactly when
+    containing(f) is a subset of containing(g)."""
 
     arrangement: Arrangement
     by_rank: tuple[tuple[Flat, ...], ...]
@@ -243,13 +240,16 @@ def build_intersection_poset(arr: Arrangement) -> IntersectionPoset:
             strata.append(frontier)
             seen.update(nxt)
     by_rank = tuple(tuple(sorted(s, key=Flat.sort_key)) for s in strata)
-    covers = []
-    for r in range(len(by_rank) - 1):
-        for f in by_rank[r]:
-            for g in by_rank[r + 1]:
-                if f.contains_flat(g):
-                    covers.append((f, g))
-    return IntersectionPoset(arr, by_rank, tuple(covers))
+    # a flat is the intersection of the hyperplanes containing it, so f
+    # contains g exactly when every hyperplane through f passes through g
+    covers = tuple(
+        (f, g)
+        for upper, lower in zip(by_rank, by_rank[1:])
+        for f in upper
+        for g in lower
+        if f.containing <= g.containing
+    )
+    return IntersectionPoset(arr, by_rank, covers)
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,9 @@ def decone(arr: Arrangement) -> Arrangement:
     """Restrict a central arrangement containing x0 = 0 to the slice x0 = 1."""
     if not arr.is_central():
         raise InputError("decone requires a central arrangement")
-    if arr.ambient_dim < 1:
-        raise InputError("decone requires ambient dimension >= 1")
+    if arr.ambient_dim < 2:
+        # the slice of C^1 is a point, which no arrangement file describes
+        raise InputError("decone requires ambient dimension >= 2")
     x0 = Hyperplane.make((1,) + (0,) * (arr.ambient_dim - 1), 0, "_x0")
     if x0 not in set(arr.hyperplanes):
         raise InputError("decone requires the hyperplane x0 = 0")
@@ -408,14 +409,13 @@ def decone(arr: Arrangement) -> Arrangement:
 
 @dataclass(frozen=True)
 class FiberPoints:
-    """Solutions of each transverse hyperplane on the fiber over ``base``.
+    """Solutions of each transverse hyperplane on the fiber over a base point.
 
     ``points`` maps hyperplane labels to the rational fiber coordinate;
     ``collisions`` lists label pairs with equal coordinates, which for some
     admissible base point happens exactly when the line is not good.
     """
 
-    base: Vector
     points: dict[str, Fraction]
     collisions: tuple[tuple[str, str], ...]
 
@@ -451,7 +451,7 @@ def fiber_points(arr: Arrangement, y: LineDirection, base) -> FiberPoints:
             collisions.append((seen[q], label))
         else:
             seen[q] = label
-    return FiberPoints(base_v, points, tuple(collisions))
+    return FiberPoints(points, tuple(collisions))
 
 
 def _halton(index: int, base: int) -> Fraction:
@@ -479,15 +479,17 @@ def _off_projected(base_v: Vector, rows) -> bool:
 def goodness_fiber_oracle(
     arr: Arrangement, y: LineDirection, sample_count: int = 20, seed: int = 0
 ) -> tuple[bool, dict]:
-    """Fiber-counting oracle for goodness, independent of the poset test.
+    """Fiber-counting oracle for goodness, independent of the poset test's
+    verdict.
 
     Deterministic rational base points off the projected parallel
     subarrangement are probed; the line is declared not good as soon as some
     fiber carries fewer than n distinct roots.  The sample sequence is a
     low-discrepancy Halton fill augmented, ahead of it, with one point on the
-    projection of each rank-two flat transverse to the line: root collisions
-    happen exactly over those projections, so every non-good case exhibits a
-    collision sample while agreement on all samples is reported as evidence.
+    projection of each rank-two flat met by two transverse hyperplanes (the
+    Xs of ``arr.along(y).shifts``): root collisions happen exactly over those
+    projections, so every non-good case exhibits a collision sample while
+    agreement on all samples is reported as evidence.
     """
     view = arr.along(y)
     l = arr.ambient_dim
@@ -496,17 +498,12 @@ def goodness_fiber_oracle(
     report: dict = {"samples": [], "collision": None}
 
     candidates: list[Vector] = []
-    if l >= 2 and len(view.transverse) >= 2:
-        sub = Arrangement.make(l, view.transverse)
-        for x in sub.poset.rank_two():
-            p = x.point()
-            dirs = x.directions()
-            proj_p = _solve_coordinates(view.basis, p)[:-1]
-            proj_dirs = [_solve_coordinates(view.basis, d)[:-1] for d in dirs]
-            if _projection_inside_parallel(proj_p, proj_dirs, proj_rows):
-                continue
-            pt = _point_on_subspace_off(proj_p, proj_dirs, proj_rows)
-            candidates.append(pt)
+    for x, _ in view.shifts:
+        proj_p = _solve_coordinates(view.basis, x.point())[:-1]
+        proj_dirs = [_solve_coordinates(view.basis, d)[:-1] for d in x.directions()]
+        if _projection_inside_parallel(proj_p, proj_dirs, proj_rows):
+            continue
+        candidates.append(_point_on_subspace_off(proj_p, proj_dirs, proj_rows))
 
     tested = 0
     idx = seed

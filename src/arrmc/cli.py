@@ -11,7 +11,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .arrangement import (
     Flat,
@@ -42,16 +41,6 @@ from .pfaffian import (
     check_star_conditions,
 )
 from . import serialization as ser
-
-
-@dataclass
-class JobSpec:
-    """One CLI invocation: command, input paths, parameter overrides."""
-
-    command: str
-    inputs: list[str]
-    params: dict = field(default_factory=dict)
-    out: str | None = None
 
 
 def _flat_json(f: Flat) -> dict:
@@ -85,6 +74,18 @@ def _tolerance(s: str) -> float:
     return x
 
 
+def _nonnegative(s: str) -> int:
+    """A count or offset from the command line: a nonnegative integer, or a
+    usage error."""
+    try:
+        x = int(s)
+    except ValueError:
+        x = -1
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {s!r}")
+    return x
+
+
 def _parse_base(s: str):
     s = s.strip()
     if not s:
@@ -92,12 +93,37 @@ def _parse_base(s: str):
     return [_rational(part) for part in s.split(",")]
 
 
-def _load_system(path: str, params: dict):
-    return ser.system_from_json(ser.load_path(path), check=not params.get("unchecked"))
+def _parameter(s: str) -> ConvolutionParameter:
+    return ConvolutionParameter.make(_rational(s))
 
 
-def _cmd_poset(job: JobSpec):
-    arr = ser.arrangement_from_json(ser.load_path(job.inputs[0]))
+# the conversions of the string options, in order, applied before ``run``;
+# a malformed value is an input error
+_CONVERSIONS = {
+    "line": _parse_line,
+    "lam": _parameter,
+    "mu": _parameter,
+    "base": _parse_base,
+    "scalar": _rational,
+}
+
+
+def _convert(args: argparse.Namespace) -> None:
+    for name, conversion in _CONVERSIONS.items():
+        if getattr(args, name, None) is not None:
+            setattr(args, name, conversion(getattr(args, name)))
+
+
+def _load_system(args: argparse.Namespace):
+    return ser.system_from_json(ser.load_path(args.input), check=not args.unchecked)
+
+
+def _load_arrangement(args: argparse.Namespace):
+    return ser.arrangement_from_json(ser.load_path(args.input))
+
+
+def _cmd_poset(args: argparse.Namespace):
+    arr = _load_arrangement(args)
     poset = arr.poset
     report = {
         "command": "poset",
@@ -111,9 +137,9 @@ def _cmd_poset(job: JobSpec):
     return 0, report
 
 
-def _cmd_goodline(job: JobSpec):
-    arr = ser.arrangement_from_json(ser.load_path(job.inputs[0]))
-    y = job.params["line"]
+def _cmd_goodline(args: argparse.Namespace):
+    arr = _load_arrangement(args)
+    y = args.line
     good, witness = is_good_line(arr, y)
     report = {
         "command": "goodline",
@@ -122,31 +148,26 @@ def _cmd_goodline(job: JobSpec):
     }
     if witness is not None:
         report["witness"] = _flat_json(witness)
-    if "samples" in job.params:
-        oracle, odata = goodness_fiber_oracle(
-            arr, y, job.params["samples"], seed=job.params.get("seed", 0)
-        )
+    if args.samples is not None:
+        oracle, odata = goodness_fiber_oracle(arr, y, args.samples, seed=args.seed)
         report["fiber_oracle"] = {"good": oracle, **odata}
         report["agreement"] = oracle == good
     return (0 if good else 1), report
 
 
-def _cmd_cone(job: JobSpec):
-    arr = ser.arrangement_from_json(ser.load_path(job.inputs[0]))
-    out = ser.arrangement_to_json(cone(arr))
+def _cmd_cone(args: argparse.Namespace):
+    out = ser.arrangement_to_json(cone(_load_arrangement(args)))
     return 0, {"command": "cone", "arrangement": out}
 
 
-def _cmd_decone(job: JobSpec):
-    arr = ser.arrangement_from_json(ser.load_path(job.inputs[0]))
-    out = ser.arrangement_to_json(decone(arr))
+def _cmd_decone(args: argparse.Namespace):
+    out = ser.arrangement_to_json(decone(_load_arrangement(args)))
     return 0, {"command": "decone", "arrangement": out}
 
 
-def _cmd_check(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    lam = job.params["lambda"]
+def _cmd_check(args: argparse.Namespace):
+    sys_ = _load_system(args)
+    y, lam = args.line, args.lam
     integ = sys_.integrability
     gen = check_assumption_generic(sys_, y, lam)
     star = check_star_conditions(sys_, y)
@@ -169,11 +190,9 @@ def _cmd_check(job: JobSpec):
     return (0 if ok else 1), report
 
 
-def _cmd_convolve(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    lam = job.params["lambda"]
-    cr = convolve(sys_, y, lam, require_good=not job.params.get("unchecked"))
+def _cmd_convolve(args: argparse.Namespace):
+    sys_ = _load_system(args)
+    cr = convolve(sys_, args.line, args.lam, require_good=not args.unchecked)
     report = {
         "command": "convolve",
         "block_order": list(cr.block_order),
@@ -189,11 +208,9 @@ def _cmd_convolve(job: JobSpec):
     return 0, report
 
 
-def _cmd_middle_convolve(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    lam = job.params["lambda"]
-    out = middle_convolve(sys_, y, lam, require_good=not job.params.get("unchecked"))
+def _cmd_middle_convolve(args: argparse.Namespace):
+    sys_ = _load_system(args)
+    out = middle_convolve(sys_, args.line, args.lam, require_good=not args.unchecked)
     report = {
         "command": "middle-convolve",
         "input_dim": sys_.dim_e,
@@ -203,10 +220,8 @@ def _cmd_middle_convolve(job: JobSpec):
     return 0, report
 
 
-def _cmd_compose_verify(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    rep = verify_composition_law(sys_, y, job.params["lambda"], job.params["mu"])
+def _cmd_compose_verify(args: argparse.Namespace):
+    rep = verify_composition_law(_load_system(args), args.line, args.lam, args.mu)
     report = {
         "command": "compose-verify",
         "lambda": ser.rational_str(rep.parameters[0]),
@@ -225,14 +240,14 @@ def _cmd_compose_verify(job: JobSpec):
     return (0 if rep.ok else 1), report
 
 
-def _cmd_katz_mc(job: JobSpec):
-    t = ser.tuple_from_json(ser.load_path(job.inputs[0]))
-    if "scalar" in job.params:
-        c = CharacterValue.from_scalar(job.params["scalar"])
+def _cmd_katz_mc(args: argparse.Namespace):
+    t = ser.tuple_from_json(ser.load_path(args.input))
+    if args.scalar is not None:
+        c = CharacterValue.from_scalar(args.scalar)
     else:
-        c = CharacterValue.from_exponent(job.params["lambda"].value)
-    prop = check_property_p(t, job.params.get("rank_tol", 1e-9))
-    out = multiplicative_middle_convolution(t, c, job.params.get("rank_tol", 1e-9))
+        c = CharacterValue.from_exponent(args.lam.value)
+    prop = check_property_p(t, args.rank_tol)
+    out = multiplicative_middle_convolution(t, c, args.rank_tol)
     report = {
         "command": "katz-mc",
         "character": ser.character_to_json(c),
@@ -245,16 +260,12 @@ def _cmd_katz_mc(job: JobSpec):
     return 0, report
 
 
-def _cmd_monodromy(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    base = job.params["base"]
-    tol = job.params.get("tol", 1e-10)
-    ext = monodromy_tuple_of_system(sys_, y, base, tol)
+def _cmd_monodromy(args: argparse.Namespace):
+    ext = monodromy_tuple_of_system(_load_system(args), args.line, args.base, args.tol)
     t = ext.monodromy
     report = {
         "command": "monodromy",
-        "base": [ser.rational_str(b) for b in base],
+        "base": [ser.rational_str(b) for b in args.base],
         "basepoint": [ext.basepoint.real, ext.basepoint.imag],
         "punctures": t.npoints,
         "rank": t.rank,
@@ -270,13 +281,9 @@ def _cmd_monodromy(job: JobSpec):
     return 0, report
 
 
-def _cmd_rh_verify(job: JobSpec):
-    sys_ = _load_system(job.inputs[0], job.params)
-    y = job.params["line"]
-    lam = job.params["lambda"]
-    base = job.params["base"]
-    tol = job.params.get("tol", 1e-10)
-    iso_tol = job.params.get("iso_tol", 1e-6)
+def _cmd_rh_verify(args: argparse.Namespace):
+    sys_ = _load_system(args)
+    y, lam = args.line, args.lam
 
     integ = sys_.integrability
     gen = check_assumption_generic(sys_, y, lam)
@@ -295,7 +302,7 @@ def _cmd_rh_verify(job: JobSpec):
         return 1, report
 
     compat = verify_mc_compatibility(
-        sys_, y, lam, base, tol, iso_tol, job.params.get("rank_tol", 1e-9), genericity=gen
+        sys_, y, lam, args.base, args.tol, args.iso_tol, args.rank_tol, genericity=gen
     )
     stages["compatibility_ok"] = compat.ok
     report["compatibility"] = {
@@ -339,18 +346,18 @@ _COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> tuple[int, dict]:
-    """Dispatch a job; returns (exit code, report)."""
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Dispatch parsed and converted arguments; returns (exit code, report)."""
     try:
-        return _COMMANDS[job.command](job)
+        return _COMMANDS[args.command](args)
     except PropertyFailure as exc:
-        return 1, {"command": job.command, "ok": False, "error": str(exc)}
+        return 1, {"command": args.command, "ok": False, "error": str(exc)}
     except InputError as exc:
-        return 2, {"command": job.command, "error": str(exc)}
+        return 2, {"command": args.command, "error": str(exc)}
     except NumericError as exc:
-        return 3, {"command": job.command, "error": str(exc)}
+        return 3, {"command": args.command, "error": str(exc)}
     except ArrmcError as exc:
-        return 2, {"command": job.command, "error": str(exc)}
+        return 2, {"command": args.command, "error": str(exc)}
 
 
 @functools.cache
@@ -371,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--iso-tol": dict(type=_tolerance, default=1e-6),
         "--rank-tol": dict(type=_tolerance, default=1e-9,
                            help="relative singular value threshold for numeric ranks"),
-        "--samples": dict(type=int, help="fiber oracle sample count"),
-        "--seed": dict(type=int, default=0, help="sample sequence offset"),
+        "--samples": dict(type=_nonnegative, help="fiber oracle sample count"),
+        "--seed": dict(type=_nonnegative, default=0, help="sample sequence offset"),
     }
 
     def add(name, *flags):
@@ -404,45 +411,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _job_from_args(args) -> JobSpec:
-    params: dict = {}
-    if getattr(args, "line", None) is not None:
-        params["line"] = _parse_line(args.line)
-    if getattr(args, "lam", None) is not None:
-        params["lambda"] = ConvolutionParameter.make(_rational(args.lam))
-    if getattr(args, "mu", None) is not None:
-        params["mu"] = ConvolutionParameter.make(_rational(args.mu))
-    if getattr(args, "base", None) is not None:
-        params["base"] = _parse_base(args.base)
-    if getattr(args, "scalar", None) is not None:
-        params["scalar"] = _rational(args.scalar)
-    if getattr(args, "unchecked", False):
-        params["unchecked"] = True
-    if getattr(args, "tol", None) is not None:
-        params["tol"] = args.tol
-    if getattr(args, "iso_tol", None) is not None:
-        params["iso_tol"] = args.iso_tol
-    if getattr(args, "rank_tol", None) is not None:
-        params["rank_tol"] = args.rank_tol
-    if getattr(args, "samples", None) is not None:
-        params["samples"] = args.samples
-    if getattr(args, "seed", None):
-        params["seed"] = args.seed
-    return JobSpec(args.command, [args.input], params, getattr(args, "out", None))
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
+        _convert(args)
     except ArrmcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    code, report = run(job)
+    code, report = run(args)
     text = ser.dumps(report)
-    if job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -66,12 +66,13 @@ class ConvolutionResult:
     def middle(self) -> PfaffianSystem:
         """Quotient by the two invariant kernels, presented on the
         deterministic complement spanned by standard basis vectors chosen
-        greedily in index order."""
+        greedily in index order.  It is integrable, with no check: the
+        convolution is, and ``convolve`` asserted both kernels invariant."""
         res, big = self.system.residues, self.system.dim_e
         kl = list(self.block_kernel_basis) + list(self.diagonal_kernel_basis)
         mats = quotient(list(res.values()), kl, big)
         return PfaffianSystem.make(
-            self.system.arrangement, big - len(kl), dict(zip(res, mats)), check=True
+            self.system.arrangement, big - len(kl), dict(zip(res, mats)), check=False
         )
 
 
@@ -122,8 +123,6 @@ def convolve(
     y: LineDirection,
     lam: ConvolutionParameter,
     require_good: bool = True,
-    *,
-    kernels: tuple[tuple[Vector, ...], tuple[Vector, ...]] | None = None,
 ) -> ConvolutionResult:
     """Convolution along the line with the given parameter.
 
@@ -133,9 +132,8 @@ def convolve(
     receives the antisymmetrized contribution of every transverse pair
     through X (two transverse hyperplanes meet in exactly one such X).
     Contributions landing on the same hyperplane (always, for a good line)
-    are summed into a single residue.
-    ``kernels`` is the caller's ``kernel_subspaces(sys, y, lam)``, if it has
-    one; their invariance is asserted either way.
+    are summed into a single residue.  The invariance of both kernels is
+    asserted.
     """
     arr = sys.arrangement
     view = arr.along(y)
@@ -217,7 +215,7 @@ def convolve(
         )
     out = PfaffianSystem.make(merged, big, residues, check=True)
 
-    k_cols, l_cols = kernel_subspaces(sys, y, lam) if kernels is None else kernels
+    k_cols, l_cols = kernel_subspaces(sys, y, lam)
     mats = list(out.residues.values())
     invariant_projection(mats, list(k_cols), big, "blockwise kernel")
     invariant_projection(mats, list(l_cols), big, "diagonal kernel")
@@ -267,7 +265,6 @@ def is_isomorphic(
 @dataclass(frozen=True)
 class CompositionReport:
     parameters: tuple[Fraction, Fraction]
-    input_dim: int
     star_ok: bool
     intermediate_star_ok: bool
     dims: dict[str, int]
@@ -311,7 +308,6 @@ def verify_composition_law(
 
     return CompositionReport(
         parameters=(lam.value, mu.value),
-        input_dim=sys.dim_e,
         star_ok=star.ok,
         intermediate_star_ok=star_mid.ok,
         dims={

@@ -181,12 +181,12 @@ def _quotient(mats, joint: np.ndarray, tol: float) -> list:
     return _numeric_quotient(mats, joint, tol)
 
 
-def _eigenvector_tests(mats: list, dim: int, dtype, tol: float) -> list[tuple[bool, float]]:
-    """(ok, margin) for each k: no eigenvector of mats[k] lies in the joint
-    kernel of the others.  Exact verdicts have an infinite margin."""
+def _eigenvector_tests(mats: list, dim: int, dtype, tol: float) -> list[bool]:
+    """For each k: no eigenvector of mats[k] lies in the joint kernel of the
+    others."""
     if dtype is object:
         exact = [la.mat(m) for m in mats]
-        return [(la.kernel_pencil_ok(exact, k, dim), math.inf) for k in range(len(mats))]
+        return [la.kernel_pencil_ok(exact, k, dim) for k in range(len(mats))]
     return [_numeric_pencil_condition(mats, k, dim, tol) for k in range(len(mats))]
 
 
@@ -249,26 +249,21 @@ def _numeric_quotient(mats, joint: np.ndarray, tol: float) -> list[np.ndarray]:
     return out
 
 
-def _numeric_pencil_condition(mats, idx, r, tol) -> tuple[bool, float]:
-    """Checks that no eigenvector of mats[idx] lies in the joint kernel of
-    the others; returns (ok, margin)."""
+def _numeric_pencil_condition(mats, idx, r, tol) -> bool:
+    """True iff no eigenvector of mats[idx] lies in the joint kernel of the
+    others."""
     w = _kernel([m for j, m in enumerate(mats) if j != idx], r, complex, tol)
     if w.shape[1] == 0:
-        return True, math.inf
-    eigvals = np.linalg.eigvals(mats[idx])
-    margin = math.inf
-    for tau in eigvals:
+        return True
+    for tau in np.linalg.eigvals(mats[idx]):
         e = _numeric_nullspace(mats[idx] - tau * np.eye(r), 1e3 * tol)
         if e.shape[1] == 0:
             continue
         joint = np.hstack([e, w])
-        total = joint.shape[1]
         s = np.linalg.svd(joint, compute_uv=False)
-        rk = int(np.sum(s > s[0] * tol * 10)) if s.size else 0
-        if rk < total:
-            return False, float(s[rk]) if rk < s.size else 0.0
-        margin = min(margin, float(s[-1] / s[0]))
-    return True, margin
+        if int(np.sum(s > s[0] * tol * 10)) < joint.shape[1]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +340,6 @@ def quotient_by_fixed_spaces(t: MonodromyTuple, kernels, tol: float = 1e-9) -> M
 class PropertyReport:
     ok: bool
     failures: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
 
 
 def check_property_p(t: MonodromyTuple, tol: float = 1e-9) -> PropertyReport:
@@ -366,16 +360,12 @@ def check_property_p(t: MonodromyTuple, tol: float = 1e-9) -> PropertyReport:
     failures = [
         f"common fixed {fixed}" for fixed, _, mats in sides if _kernel(mats, r, dtype, tol).shape[1]
     ]
-    warnings: list[str] = []
     tests = [_eigenvector_tests(mats, r, dtype, tol) for _, _, mats in sides]
     for k in range(t.npoints):
         for (_, name, _), results in zip(sides, tests):
-            ok, margin = results[k]
-            if not ok:
+            if not results[k]:
                 failures.append(f"{name} condition at puncture {k}")
-            elif margin < 1e-6:
-                warnings.append(f"{name} condition nearly fails at puncture {k}")
-    return PropertyReport(not failures, tuple(failures), tuple(warnings))
+    return PropertyReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

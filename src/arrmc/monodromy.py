@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve, kernel_subspaces
+from .convolution import convolve
 from .errors import AssumptionFail, StepUnderflow, ToleranceNotMet
 from .fuchsian import FuchsianODE, LoopPath, enclosing_polyline, standard_loops, validate_loop
 from .katz import (
@@ -224,8 +224,6 @@ class CompatibilityReport:
     system ``mc_system``.  They must be isomorphic as tuples.
     """
 
-    base: tuple
-    n: int
     rank_multiplicative: int
     rank_restricted: int
     charpoly_deviation: float
@@ -233,9 +231,7 @@ class CompatibilityReport:
     intertwiner_residual: float | None
     generator_charpolys: dict
     product_residuals: tuple[float, float]
-    kernel_dims: tuple[int, int]
     mc_system: PfaffianSystem
-    warnings: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -290,7 +286,8 @@ def verify_mc_compatibility(
     kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
     t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
     kdim, ldim = (cols.shape[1] for cols in kernels[:2])
-    k_exact, l_exact = kernel_subspaces(sys, y, lam)
+    cr = convolve(sys, y, lam)
+    k_exact, l_exact = cr.block_kernel_basis, cr.diagonal_kernel_basis
     if (kdim, ldim) != (len(k_exact), len(l_exact)):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())
         raise ToleranceNotMet(
@@ -299,17 +296,12 @@ def verify_mc_compatibility(
             f"numbers [{conds}] exceed what the rank threshold {rank_tol:g} resolves"
         )
 
-    mc_sys = convolve(sys, y, lam, kernels=(k_exact, l_exact)).middle()
+    mc_sys = cr.middle()
     ext1 = monodromy_tuple_of_system(mc_sys, y, base, tol)
     t_restr = ext1.monodromy
 
-    warnings: tuple[str, ...] = ()
     table, dev, iso, residual = {}, math.inf, False, None
-    if t_mult.rank != t_restr.rank:
-        warnings = (
-            f"rank mismatch: multiplicative {t_mult.rank} vs restricted {t_restr.rank}",
-        )
-    else:
+    if t_mult.rank == t_restr.rank:
         table, dev = _charpoly_table(t_mult, t_restr)
         iso, s = tuple_isomorphism(t_mult, t_restr, iso_tol)
         if iso and s is not None and t_mult.rank:
@@ -319,8 +311,6 @@ def verify_mc_compatibility(
                 for m1, m2 in zip(t_mult.matrices, t_restr.matrices)
             )
     return CompatibilityReport(
-        base=tuple(str(b) for b in (base if isinstance(base, (list, tuple)) else [base])),
-        n=ext0.monodromy.npoints,
         rank_multiplicative=t_mult.rank,
         rank_restricted=t_restr.rank,
         charpoly_deviation=dev,
@@ -328,7 +318,5 @@ def verify_mc_compatibility(
         intertwiner_residual=residual,
         generator_charpolys=table,
         product_residuals=(ext0.product_residual, ext1.product_residual),
-        kernel_dims=(kdim, ldim),
         mc_system=mc_sys,
-        warnings=warnings,
     )

@@ -45,6 +45,15 @@ def _list(x, what: str) -> list:
     return x
 
 
+def _integer(x, what: str, least: int) -> int:
+    """A JSON integer of at least ``least`` (0 or 1); true and false are not
+    integers."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        kind = "positive" if least else "nonnegative"
+        raise InputError(f"{what} must be a {kind} integer")
+    return x
+
+
 def _parse_rational(x) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"rationals must be strings or integers, got {x!r}")
@@ -71,8 +80,7 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 
 def arrangement_from_json(obj: dict) -> Arrangement:
     _check_fields(obj, ("dim", "hyperplanes"))
-    if not isinstance(obj["dim"], int) or obj["dim"] < 1:
-        raise InputError("dim must be a positive integer")
+    dim = _integer(obj["dim"], "dim", 1)
     hs = []
     for entry in _list(obj["hyperplanes"], "hyperplanes"):
         _check_fields(entry, ("label", "coeffs", "constant"))
@@ -83,7 +91,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
                 str(entry["label"]),
             )
         )
-    return Arrangement.make(obj["dim"], hs)
+    return Arrangement.make(dim, hs)
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -114,9 +122,7 @@ def system_to_json(sys: PfaffianSystem) -> dict:
 def system_from_json(obj: dict, check: bool = True) -> PfaffianSystem:
     _check_fields(obj, ("arrangement", "dimE", "residues"))
     arr = arrangement_from_json(obj["arrangement"])
-    d = obj["dimE"]
-    if not isinstance(d, int) or d < 0:
-        raise InputError("dimE must be a nonnegative integer")
+    d = _integer(obj["dimE"], "dimE", 0)
     if not isinstance(obj["residues"], dict):
         raise InputError("residues must be a JSON object")
     residues = {
@@ -141,9 +147,7 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
 
 def tuple_from_json(obj: dict) -> MonodromyTuple:
     _check_fields(obj, ("rank", "matrices"), optional=("exact", "labels"))
-    rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 0:
-        raise InputError("rank must be a nonnegative integer")
+    rank = _integer(obj["rank"], "rank", 0)
     labels = obj.get("labels")
     if labels is not None:
         _list(labels, "labels")

@@ -12,6 +12,7 @@ from arrmc import (
     LineDirection,
     PfaffianSystem,
 )
+from arrmc.arrangement import Flat
 from arrmc.errors import InternalError
 from arrmc.linalg import Matrix, Vector, mat, mat_mul, rank, rref, transpose
 
@@ -254,6 +255,44 @@ def random_arrangement(rng: random.Random, dim: int, count: int) -> Arrangement:
         seen.add(key)
         hs.append(h)
     return Arrangement.make(dim, hs)
+
+
+def random_arrangement_with_parallels(rng: random.Random, dim: int) -> Arrangement:
+    """``random_arrangement`` plus one or two translates of each of its
+    first two hyperplanes, so that parallel families always occur."""
+    hs = list(random_arrangement(rng, dim, rng.randint(2, 5)).hyperplanes)
+    seen = {(h.coeffs, h.constant) for h in hs}
+    for h in hs[:2]:
+        for shift in rng.sample(range(1, 6), rng.randint(1, 2)):
+            t = Hyperplane(h.coeffs, h.constant + shift, f"{h.label}+{shift}")
+            if (t.coeffs, t.constant) not in seen:
+                seen.add((t.coeffs, t.constant))
+                hs.append(t)
+    return Arrangement.make(dim, hs)
+
+
+def contains_flat(upper: Flat, lower: Flat) -> bool:
+    """True iff ``lower`` is a subset of ``upper`` (both nonempty), by one
+    rank of the stacked equations: the reference for the covers, which the
+    poset decides by containing sets."""
+    if not upper.rows:
+        return True
+    return rank(lower.rows + upper.rows) == lower.rank
+
+
+def flat_point(flat: Flat) -> Vector:
+    """``Flat.point`` with its pivots from a second ``rref``: the reference."""
+    x = [F(0)] * flat.ambient_dim
+    _, pivots = rref(flat.coefficient_rows()) if flat.rows else ((), ())
+    for r, p in zip(flat.rows, pivots):
+        x[p] = r[-1]
+    return tuple(x)
+
+
+def transverse_rank_two(arr: Arrangement, y: LineDirection) -> tuple[Flat, ...]:
+    """Rank-two flats of the transverse subarrangement, from its own poset:
+    the reference for the Xs of ``arr.along(y).shifts``."""
+    return Arrangement.make(arr.ambient_dim, arr.along(y).transverse).poset.rank_two()
 
 
 def brute_force_poset(arr: Arrangement) -> set[Matrix]:

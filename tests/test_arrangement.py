@@ -27,11 +27,15 @@ from conftest import (
     Y_AXIS,
     braid3,
     brute_force_poset,
+    contains_flat,
+    flat_point,
     four_lines,
     mat_inverse,
     mat_vec,
     nongood_pair,
     random_arrangement,
+    random_arrangement_with_parallels,
+    transverse_rank_two,
 )
 
 
@@ -142,7 +146,58 @@ def test_cover_relations_are_inclusions():
     assert poset.covers
     for upper, lower in poset.covers:
         assert lower.rank == upper.rank + 1
-        assert upper.contains_flat(lower)
+        assert contains_flat(upper, lower)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_covers_and_points_match_rank_references_random(dim):
+    rng = random.Random(100 + dim)
+    for _ in range(15):
+        poset = build_intersection_poset(random_arrangement_with_parallels(rng, dim))
+        expected = [
+            (f.rows, g.rows)
+            for upper, lower in zip(poset.by_rank, poset.by_rank[1:])
+            for f in upper
+            for g in lower
+            if contains_flat(f, g)
+        ]
+        assert [(f.rows, g.rows) for f, g in poset.covers] == expected
+        assert all(f.point() == flat_point(f) for f in poset.flats())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shift_flats_are_the_transverse_rank_two_flats_random(dim):
+    rng = random.Random(200 + dim)
+    checked = 0
+    for _ in range(15):
+        arr = random_arrangement_with_parallels(rng, dim)
+        for _ in range(3):
+            direction = [rng.randint(-1, 2) for _ in range(dim)]
+            if not any(direction):
+                continue
+            y = LineDirection.make(direction)
+            got = [x.rows for x, _ in arr.along(y).shifts]
+            assert got == [x.rows for x in transverse_rank_two(arr, y)]
+            checked += bool(got)
+    assert checked >= 10
+
+
+def test_goodline_job_builds_one_poset(monkeypatch, tmp_path):
+    from arrmc import cli
+
+    built = []
+    original = arrangement.build_intersection_poset
+
+    def counting(arr):
+        built.append(arr)
+        return original(arr)
+
+    monkeypatch.setattr(arrangement, "build_intersection_poset", counting)
+    corpus = Path(__file__).parent / "corpus" / "four_lines_arrangement.json"
+    out = tmp_path / "report.json"
+    code = cli.main(["goodline", str(corpus), "--line", "0,1", "--samples", "5", "--out", str(out)])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_good_line_examples():

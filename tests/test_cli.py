@@ -252,8 +252,7 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
 
     for module in (pfaffian, cli, monodromy):
         monkeypatch.setattr(module, "check_assumption_generic", counting_genericity)
-    for module in (convolution, monodromy):
-        monkeypatch.setattr(module, "kernel_subspaces", counting_kernels)
+    monkeypatch.setattr(convolution, "kernel_subspaces", counting_kernels)
     code, rep = run_cli(
         capsys, "rh-verify", corpus("four_lines_system.json"),
         "--line", "0,1", "--lambda", "1/5", "--base", "2",
@@ -510,6 +509,45 @@ def test_cli_input_of_the_wrong_container_type_is_input_error(capsys, tmp_path, 
     options = {"check": ["--line", "1", "--lambda", "1/5"], "katz-mc": ["--scalar", "2"]}
     code, rep = run_cli(capsys, command, str(path), *options.get(command, []))
     assert code == 2 and "error" in rep
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("poset", {"dim": True, "hyperplanes": [{"label": "h", "coeffs": ["1"], "constant": "0"}]}),
+        ("check", {"arrangement": ARRANGEMENT, "dimE": True, "residues": {"h": [["1"]]}}),
+        ("katz-mc", {"rank": True, "exact": True, "matrices": [[["2"]]]}),
+    ],
+)
+def test_cli_json_boolean_is_not_an_integer(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    options = {"check": ["--line", "1", "--lambda", "1/5"], "katz-mc": ["--scalar", "2"]}
+    code, rep = run_cli(capsys, command, str(path), *options.get(command, []))
+    assert code == 2 and "integer" in rep["error"]
+
+
+def test_cli_decone_of_a_line_is_input_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ARRANGEMENT), encoding="utf-8")
+    code, rep = run_cli(capsys, "decone", str(path))
+    assert code == 2 and "dimension >= 2" in rep["error"]
+
+
+@pytest.mark.parametrize("option", ["--samples=-3", "--samples=-1", "--seed=-5", "--seed=x"])
+def test_cli_goodline_samples_and_seed_must_be_nonnegative(capsys, option):
+    argv = ["goodline", corpus("four_lines_arrangement.json"), "--line", "0,1", "--samples", "2"]
+    assert exit_code([*argv, option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nonnegative integer" in captured.err
+
+
+def test_cli_goodline_zero_samples_probes_the_projections(capsys):
+    code, rep = run_cli(
+        capsys, "goodline", corpus("nongood_arrangement.json"), "--line", "0,1", "--samples", "0"
+    )
+    assert code == 1 and not rep["fiber_oracle"]["good"] and rep["agreement"]
+    assert rep["fiber_oracle"]["samples"]
 
 
 def test_cli_check_unchecked_reports_nonintegrable(capsys, tmp_path):
