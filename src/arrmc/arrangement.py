@@ -489,8 +489,13 @@ def goodness_fiber_oracle(
     projection of each rank-two flat met by two transverse hyperplanes (the
     Xs of ``arr.along(y).shifts``): root collisions happen exactly over those
     projections, so every non-good case exhibits a collision sample while
-    agreement on all samples is reported as evidence.
+    agreement on all samples is reported as evidence.  ``sample_count`` and
+    ``seed`` are nonnegative; with no samples only the projections are probed.
     """
+    if sample_count < 0 or seed < 0:
+        raise InputError(
+            f"sample count and seed must be nonnegative, got {sample_count} and {seed}"
+        )
     view = arr.along(y)
     l = arr.ambient_dim
     # the projected parallel hyperplanes, as forms in the base coordinates

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,12 @@ class MonodromyTuple:
             return self
         ms = tuple(np.array(m, dtype=complex).reshape(self.rank, self.rank) for m in self.matrices)
         return MonodromyTuple(self.rank, ms, False, self.labels)
+
+    @cached_property
+    def charpolys(self) -> tuple[np.ndarray, ...]:
+        """Numeric characteristic polynomial coefficients of each generator,
+        highest degree first; computed once per tuple."""
+        return tuple(_charpoly_numeric(m) for m in self.to_numeric().matrices)
 
     def condition_numbers(self) -> tuple[float, ...]:
         t = self.to_numeric()
@@ -386,8 +393,8 @@ def invariants_match(t1: MonodromyTuple, t2: MonodromyTuple, tol: float) -> bool
         + [float(np.max(np.abs(m))) for m in a if m.size]
         + [float(np.max(np.abs(m))) for m in b if m.size]
     )
-    for x, y in zip(a, b):
-        if np.max(np.abs(_charpoly_numeric(x) - _charpoly_numeric(y))) > tol * scale ** t1.rank:
+    for x, y in zip(t1.charpolys, t2.charpolys):
+        if np.max(np.abs(x - y)) > tol * scale ** t1.rank:
             return False
     for i in range(len(a) - 1):
         px, py = a[i] @ a[i + 1], b[i] @ b[i + 1]

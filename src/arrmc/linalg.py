@@ -20,10 +20,12 @@ A d x d matrix is nonsingular iff its ``rank`` is d; there is no
 determinant.  ``kernel_pencil_ok``, the star test, grows an observability
 row space on integer rows.  ``invariant_projection`` reads the projection
 Pi along span(cols) off the one rref of ``_reduced_span`` and checks
-Pi M cols = 0, the invariance every quotient of the middle convolution needs;
-``quotient`` presents Pi M on the complement, with no change of basis and no
-inverse.  ``invertible_intertwiner`` is the exact isomorphism search: an
-invertible element of the intertwiner space, found by ``rank``.
+Pi M cols = 0, the invariance every quotient of the middle convolution needs,
+through Pi M when the complement is small; ``quotient`` presents Pi M on
+the complement, reusing the check's Pi M when it formed them, with no
+change of basis and no inverse.  ``invertible_intertwiner`` is the exact
+isomorphism search: an invertible element of the intertwiner space, found
+by ``rank``.
 """
 
 from __future__ import annotations
@@ -93,8 +95,16 @@ def mat_scale(a: Matrix, s: Fraction) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product skipping zero entries: convolution residues and changes of
     basis are mostly zero."""
-    ncols = len(b[0]) if b else 0
-    b_nonzero = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    return _mul_nonzero(a, _nonzero_rows(b), len(b[0]) if b else 0)
+
+
+def _nonzero_rows(b: Matrix) -> list[list[tuple[int, Fraction]]]:
+    """(column, entry) of the nonzero entries of each row of ``b``."""
+    return [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+
+
+def _mul_nonzero(a: Matrix, b_nonzero, ncols: int) -> Matrix:
+    """a times the ``ncols``-column matrix whose rows ``_nonzero_rows`` gave."""
     out = []
     for ra in a:
         acc = [Fraction(0)] * ncols
@@ -405,27 +415,57 @@ def invariant_projection(
     InternalError, naming ``what``, for the first M where it is not, and
     when ``cols`` are dependent.
     """
+    return _checked_projection(mats, cols, dim, what)[:2]
+
+
+def _checked_projection(
+    mats: list[Matrix], cols: list[Vector], dim: int, what: str
+) -> tuple[list[int], Matrix, list[Matrix] | None]:
+    """``invariant_projection``, and Q = Pi M restricted to C for every M
+    when the check formed them, else None.
+
+    As B is the identity on S, Pi M B = (Pi M)[:, S] + Q B[C,:], whose
+    second term costs |C|^2 dim(span) products.  When |C|^2 < dim(span), as
+    for the quotient by K + L, the check forms Pi M, reads Q off it and tests
+    that sum; otherwise it forms Pi (M cols), which is cheaper for a larger
+    C, reading the nonzero pattern of cols once.
+    """
     basis, skipped, comp = _reduced_span(cols, dim)
+    b_comp = tuple(tuple(b[c] for b in basis) for c in comp)
     proj = []
-    for c in comp:
+    for c, coeffs in zip(comp, b_comp):
         row = [Fraction(0)] * dim
         row[c] = Fraction(1)
-        for s, b in zip(skipped, basis):
-            row[s] = -b[c]
+        for s, x in zip(skipped, coeffs):
+            row[s] = -x
         proj.append(tuple(row))
-    if cols and comp:
-        span = transpose(tuple(cols))
+    proj = tuple(proj)
+    if not (cols and comp):
+        return comp, proj, None
+    if len(comp) ** 2 < len(cols):
+        quotients = []
         for m in mats:
-            if not is_zero_matrix(mat_mul(proj, mat_mul(m, span))):
+            pm = mat_mul(proj, m)
+            q = tuple(tuple(r[c] for c in comp) for r in pm)
+            on_span = mat_add(mat_mul(q, b_comp), tuple(tuple(r[s] for s in skipped) for r in pm))
+            if not is_zero_matrix(on_span):
                 raise InternalError(f"{what} is not invariant; quotient ill-defined")
-    return comp, tuple(proj)
+            quotients.append(q)
+        return comp, proj, quotients
+    span = _nonzero_rows(transpose(tuple(cols)))
+    for m in mats:
+        if not is_zero_matrix(mat_mul(proj, _mul_nonzero(m, span, len(cols)))):
+            raise InternalError(f"{what} is not invariant; quotient ill-defined")
+    return comp, proj, None
 
 
 def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
     """Action of each dim x dim matrix M on C^dim / span(cols), presented on
     the complement C of ``invariant_projection``: Pi M restricted to C."""
-    comp, proj = invariant_projection(mats, cols, dim, "span")
-    return [mat_mul(proj, tuple(tuple(r[c] for c in comp) for r in m)) for m in mats]
+    comp, proj, quotients = _checked_projection(mats, cols, dim, "span")
+    if quotients is None:
+        quotients = [mat_mul(proj, tuple(tuple(r[c] for c in comp) for r in m)) for m in mats]
+    return quotients
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,15 @@ and this identity is checked on every tuple extraction.
 
 The disc chain depends only on the geometry, so the propagators of all
 discs of all polylines of one extraction are independent: they are
-computed as one batch, a fixed number of discs at a time, with one running
-sum per pole in the Taylor recurrence; each polyline multiplies its chain.
+computed as one batch, in chunks that follow a working-set budget rather
+than a fixed disc count, with one running sum per pole in the Taylor
+recurrence: each order is one 2-D product over the chunk's running sums.
+The polylines multiply their chains together, one stacked product per
+disc index.  A ``LoopGeometry`` holds the loops, the enclosing polyline
+and their discs per step fraction; ``verify_mc_compatibility`` builds one
+and shares it between its two extractions.  The order of summation in
+these products may change between versions, so report floats may move by
+round-off, within the golden tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .katz import (
     multiplicative_kernels,
     quotient_by_fixed_spaces,
     tuple_isomorphism,
-    _charpoly_numeric,
 )
 from .pfaffian import (
     ConvolutionParameter,
@@ -50,7 +56,9 @@ _THETA = 1 / 3
 _MIN_STEP = 1e-13
 _MAX_STEPS = 400_000
 _MAX_ORDER = 10_000
-_CHUNK = 64  # discs per batched recurrence; bounds the working set
+# elements of the running sums of one batched recurrence, b discs * dim^2 *
+# poles: 64 discs at rank 4 with 4 poles; bounds the working set
+_BUDGET = 4096
 # largest relative gap between the ordered product of the loop transports and
 # the transport along the enclosing loop
 _CONSISTENCY_TOL = 1e-6
@@ -71,7 +79,7 @@ def _disc_chain(points, poles, theta: float) -> list[tuple[complex, complex]]:
         unit = d / seg_len
         c, walked = a, 0.0
         for _ in range(_MAX_STEPS):
-            reach = theta * min((abs(c - q) for q in poles), default=math.inf)
+            reach = theta * min([abs(c - q) for q in poles]) if poles else math.inf
             if reach < _MIN_STEP * seg_len:
                 raise StepUnderflow("step size underflow; path too close to a pole")
             if walked + reach >= seg_len:
@@ -99,7 +107,8 @@ def _step_and_order(ode: FuchsianODE, tol: float) -> tuple[float, int]:
     ``tol`` below the round-off floor N * eps * (1 - theta)^(-S) of the sum
     is refused.
     """
-    s = sum(float(np.linalg.norm(r, 2)) for r in ode.residues)
+    residues = np.array(ode.residues, dtype=complex).reshape(len(ode.poles), ode.dim, ode.dim)
+    s = sum(float(x) for x in np.linalg.svd(residues, compute_uv=False).max(axis=1, initial=0.0))
     theta = min(_THETA, 1.0 / s) if s > 0 else _THETA
     n, term = 0, s * theta  # term = binom(S+n, n+1) theta^(n+1)
     while True:
@@ -119,6 +128,12 @@ def _step_and_order(ode: FuchsianODE, tol: float) -> tuple[float, int]:
     return theta, n
 
 
+def _chunk_discs(ode: FuchsianODE) -> int:
+    """Discs per batched recurrence: its running sums hold b * dim^2 * poles
+    elements, kept within _BUDGET."""
+    return max(1, _BUDGET // max(1, ode.dim * ode.dim * len(ode.poles)))
+
+
 def _disc_propagators(ode: FuchsianODE, discs, order: int) -> np.ndarray:
     """Phi(z) = sum_{m<=order} G_m with G_m = F_m z^m, F(c) = Id, per disc.
 
@@ -126,45 +141,104 @@ def _disc_propagators(ode: FuchsianODE, discs, order: int) -> np.ndarray:
     recurrence (m+1) G_{m+1} = sum_{i<=m} (z^(i+1) A_i) G_{m-i} becomes
     (m+1) G_{m+1} = -[R_1 | ... | R_n] [S_1; ...; S_n] with one running sum
     per pole, S_k(m) = u_k (G_m + S_k(m-1)): n dim^3 work per disc and order.
-    G and the S_k are kept transposed, so each disc's contraction runs over
-    its own contiguous rows, whatever the other discs of the batch.
+
+    G and the S_k are kept transposed, the S_k of one disc side by side in
+    dim rows of one (b dim) x (n dim) matrix S over the batch of b discs, so
+    each order is one 2-D product G^T = S B_m, B_m being the stacked R_k^T
+    over -(m+1).  The running sums advance as S <- U * (S + G^T E), where
+    E = [Id | ... | Id] repeats G^T once per pole (exactly: its entries are
+    0 and 1) and U holds u_k per disc and pole: whole-array updates, with no
+    broadcast temporaries.  A product over stacked rows computes each
+    disc's rows alone, so a disc's propagator does not depend on the rest of
+    the batch.
     """
-    dim, n, b = ode.dim, len(ode.poles), len(discs)
-    centers, steps = np.array(discs, dtype=complex).reshape(b, 2).T
-    u = (steps / (np.array(ode.poles, dtype=complex)[:, None] - centers)).T[:, None, :, None]
-    r_cat = np.array(ode.residues, dtype=complex).reshape(n, dim, dim).transpose(1, 0, 2)
-    r_m = r_cat.reshape(dim, n * dim) / -np.arange(1, order + 1)[:, None, None]
-    g = np.broadcast_to(np.eye(dim, dtype=complex), (b, dim, dim))
-    phi = g.copy()
-    s = np.zeros((b, dim, n, dim), dtype=complex)  # s[:, l, k, j] = S_k[j, l]
+    dim, n = ode.dim, len(ode.poles)
+    centers, steps = np.asarray(discs, dtype=complex).reshape(-1, 2).T
+    b = len(centers)
+    if b * dim == 1:
+        # numpy multiplies a single row on a vector path of its own; two
+        # rows take the product that every larger batch takes
+        return _disc_propagators(ode, [(centers[0], steps[0])] * 2, order)[:1]
+    u = (steps / (np.array(ode.poles, dtype=complex)[:, None] - centers)).T
+    u = np.ascontiguousarray(np.broadcast_to(u[:, None, :, None], (b, dim, n, dim)))
+    u = u.reshape(b * dim, n * dim)
+    stack = np.array(ode.residues, dtype=complex).reshape(n, dim, dim).transpose(0, 2, 1)
+    stack = stack.reshape(n * dim, dim)
+    b_m = stack / -np.arange(1, order + 1)[:, None, None]
+    spread = np.tile(np.eye(dim, dtype=complex), n)
+    phi = np.tile(np.eye(dim, dtype=complex), (b, 1))  # phi[c dim + l, i] = Phi[i, l] of disc c
+    t = phi @ spread  # G_0^T + S_k(-1)^T for every pole k, S_k(-1) = 0
+    s = t * u
+    g = np.empty_like(phi)
     for m in range(order):
-        s += g[:, :, None]
-        s *= u
-        g = np.einsum("blj,ij->bli", s.reshape(b, dim, n * dim), r_m[m])
+        np.matmul(s, b_m[m], out=g)
         phi += g
-    return phi.transpose(0, 2, 1)
+        if m + 1 < order:
+            np.matmul(g, spread, out=t)
+            t += s
+            np.multiply(t, u, out=s)
+    return phi.reshape(b, dim, dim).transpose(0, 2, 1)
+
+
+@dataclass(frozen=True)
+class _Discs:
+    """The discs of some polylines laid out by disc index: rows starts[j] to
+    starts[j + 1] hold disc j of every polyline that has one, longest chains
+    first, and rank[i] is polyline i's place in that order."""
+
+    rows: np.ndarray  # (center, step)
+    starts: tuple[int, ...]
+    rank: tuple[int, ...]
+
+
+def _lay_out_discs(polylines, poles, theta: float) -> _Discs:
+    """The disc chains of ``polylines`` at step fraction ``theta``, laid out."""
+    chains = [_disc_chain(points, poles, theta) for points in polylines]
+    by_length = sorted(range(len(chains)), key=lambda i: -len(chains[i]))
+    rows, starts = [], [0]
+    for j in range(len(chains[by_length[0]]) if chains else 0):
+        rows += [chains[i][j] for i in by_length if j < len(chains[i])]
+        starts.append(len(rows))
+    rank = [0] * len(chains)
+    for r, i in enumerate(by_length):
+        rank[i] = r
+    return _Discs(np.array(rows, dtype=complex).reshape(-1, 2), tuple(starts), tuple(rank))
+
+
+def _transport_discs(ode: FuchsianODE, discs: _Discs, order: int) -> list[np.ndarray]:
+    """Transport F = Id along each polyline whose discs ``discs`` holds.
+
+    The propagators are computed _chunk_discs at a time (which bounds the
+    working set), and each chunk is multiplied into the transports before
+    the next one is computed: the polylines advance together, one stacked
+    product per disc index, and the polylines still going at disc j are the
+    first ones in ``discs.rank`` order.  A disc's propagator does not depend
+    on the rest of its chunk, so each result is bitwise the transport of its
+    polyline alone.
+    """
+    rows, starts, dim = discs.rows, discs.starts, ode.dim
+    out = np.empty((len(discs.rank), dim, dim), dtype=complex)
+    out[:] = np.eye(dim)
+    chunk = _chunk_discs(ode)
+    j = 0
+    for lo in range(0, len(rows), chunk):
+        hi = min(lo + chunk, len(rows))
+        phis = _disc_propagators(ode, rows[lo:hi], order)
+        a = lo
+        while a < hi:
+            while starts[j + 1] <= a:
+                j += 1
+            b = min(starts[j + 1], hi)
+            p, q = a - starts[j], b - starts[j]
+            out[p:q] = phis[a - lo : b - lo] @ out[p:q]
+            a = b
+    return [out[r] for r in discs.rank]
 
 
 def _transport_polylines(ode: FuchsianODE, polylines, tol: float) -> list[np.ndarray]:
-    """Transport F = Id from the first point of each polyline to its last.
-
-    The disc chain of a polyline depends only on its geometry, so the
-    propagators of all discs of all polylines are computed as one batch,
-    in chunks of _CHUNK discs (which bounds the working set), and each
-    chunk is multiplied into its polylines' transports before the next one
-    is computed.  A disc's propagator does not depend on the rest of its
-    chunk, so each result is bitwise the transport of its polyline alone.
-    """
+    """Transport F = Id from the first point of each polyline to its last."""
     theta, order = _step_and_order(ode, tol)
-    chains = [_disc_chain(points, ode.poles, theta) for points in polylines]
-    owners = [i for i, chain in enumerate(chains) for _ in chain]
-    discs = [disc for chain in chains for disc in chain]
-    out = [np.eye(ode.dim, dtype=complex) for _ in polylines]
-    for lo in range(0, len(discs), _CHUNK):
-        phis = _disc_propagators(ode, discs[lo : lo + _CHUNK], order)
-        for i, phi in zip(owners[lo : lo + _CHUNK], phis):
-            out[i] = phi @ out[i]
-    return out
+    return _transport_discs(ode, _lay_out_discs(polylines, ode.poles, theta), order)
 
 
 def transport_along_loop(ode: FuchsianODE, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
@@ -175,6 +249,31 @@ def transport_along_loop(ode: FuchsianODE, path: LoopPath, tol: float = 1e-10) -
     return _transport_polylines(ode, [path.points], tol)[0]
 
 
+class LoopGeometry:
+    """The standard loops around ``poles`` from ``basepoint`` and the
+    enclosing polyline, built once, and their discs for each step fraction
+    theta, laid out once per theta.  Extractions of systems with the same
+    poles and base point share it."""
+
+    def __init__(self, poles, basepoint: complex):
+        self.poles, self.basepoint = tuple(poles), basepoint
+        self.base, loops, self.order = standard_loops(self.poles, basepoint)
+        self.polylines = [path.points for path in loops]
+        if loops:
+            self.polylines.append(enclosing_polyline(self.poles, self.base))
+        self._discs: dict = {}
+
+    def fits(self, ode: FuchsianODE) -> bool:
+        return self.poles == ode.poles and self.basepoint == ode.basepoint
+
+    def transports(self, ode: FuchsianODE, tol: float) -> list[np.ndarray]:
+        """The transports of ``ode`` along the loops, then the enclosing polyline."""
+        theta, order = _step_and_order(ode, tol)
+        if theta not in self._discs:
+            self._discs[theta] = _lay_out_discs(self.polylines, self.poles, theta)
+        return _transport_discs(ode, self._discs[theta], order)
+
+
 @dataclass(frozen=True)
 class TupleExtraction:
     monodromy: MonodromyTuple
@@ -183,14 +282,18 @@ class TupleExtraction:
     infinity_residue: np.ndarray
 
 
-def monodromy_tuple_of_ode(ode: FuchsianODE, tol: float = 1e-10) -> TupleExtraction:
-    base, loops, order = standard_loops(ode.poles, ode.basepoint)
-    labels = [ode.labels[i] for i in order]
+def monodromy_tuple_of_ode(
+    ode: FuchsianODE, tol: float = 1e-10, loops: LoopGeometry | None = None
+) -> TupleExtraction:
+    """The monodromy tuple of ``ode`` along its standard loops.  ``loops``,
+    if given and built for the same poles and base point, is reused."""
+    if loops is None or not loops.fits(ode):
+        loops = LoopGeometry(ode.poles, ode.basepoint)
+    labels = [ode.labels[i] for i in loops.order]
     mats = []
     residual = 0.0
-    if loops:
-        big = enclosing_polyline(ode.poles, base)
-        *mats, t_big = _transport_polylines(ode, [path.points for path in loops] + [big], tol)
+    if loops.polylines:
+        *mats, t_big = loops.transports(ode, tol)
         prod = np.eye(ode.dim, dtype=complex)
         for m in mats:
             prod = prod @ m
@@ -201,7 +304,7 @@ def monodromy_tuple_of_ode(ode: FuchsianODE, tol: float = 1e-10) -> TupleExtract
                 f"loop product inconsistent with the enclosing transport: {residual:.3e}"
             )
     t = MonodromyTuple(ode.dim, tuple(mats), False, tuple(labels))
-    return TupleExtraction(t, base, residual, ode.residue_at_infinity())
+    return TupleExtraction(t, loops.base, residual, ode.residue_at_infinity())
 
 
 def monodromy_tuple_of_system(sys: PfaffianSystem, y, base, tol: float = 1e-10) -> TupleExtraction:
@@ -241,9 +344,7 @@ class CompatibilityReport:
 def _charpoly_table(t1: MonodromyTuple, t2: MonodromyTuple):
     table = {}
     dev = 0.0
-    for i, (m1, m2) in enumerate(zip(t1.matrices, t2.matrices)):
-        p1 = _charpoly_numeric(np.asarray(m1))
-        p2 = _charpoly_numeric(np.asarray(m2))
+    for i, (p1, p2) in enumerate(zip(t1.charpolys, t2.charpolys)):
         table[f"generator_{i + 1}"] = {
             "multiplicative": [[float(c.real), float(c.imag)] for c in p1],
             "restricted": [[float(c.real), float(c.imag)] for c in p2],
@@ -281,7 +382,9 @@ def verify_mc_compatibility(
     if not gen.ok:
         raise AssumptionFail(f"integer eigenvalue obstruction: {gen.offenders}")
 
-    ext0 = monodromy_tuple_of_system(sys, y, base, tol)
+    ode0 = fiber_restriction(sys, y, base)
+    loops = LoopGeometry(ode0.poles, ode0.basepoint)
+    ext0 = monodromy_tuple_of_ode(ode0, tol, loops)
     character = CharacterValue.from_exponent(lam.value)
     kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
     t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
@@ -297,7 +400,7 @@ def verify_mc_compatibility(
         )
 
     mc_sys = cr.middle()
-    ext1 = monodromy_tuple_of_system(mc_sys, y, base, tol)
+    ext1 = monodromy_tuple_of_ode(fiber_restriction(mc_sys, y, base), tol, loops)
     t_restr = ext1.monodromy
 
     table, dev, iso, residual = {}, math.inf, False, None

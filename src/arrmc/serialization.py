@@ -8,6 +8,7 @@ contaminates the exact data.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,22 @@ def _integer(x, what: str, least: int) -> int:
         kind = "positive" if least else "nonnegative"
         raise InputError(f"{what} must be a {kind} integer")
     return x
+
+
+def _complex(x) -> complex:
+    """A numeric tuple entry: an [re, im] pair of finite JSON numbers; true
+    and false are not numbers."""
+    if not (
+        isinstance(x, list)
+        and len(x) == 2
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in x
+        )
+    ):
+        raise InputError(
+            f"a numeric tuple entry must be an [re, im] pair of finite numbers, got {x!r}"
+        )
+    return complex(x[0], x[1])
 
 
 def _parse_rational(x) -> Fraction:
@@ -152,7 +169,10 @@ def tuple_from_json(obj: dict) -> MonodromyTuple:
     if labels is not None:
         _list(labels, "labels")
     matrices = _list(obj["matrices"], "matrices")
-    if obj.get("exact", False):
+    exact = obj.get("exact", False)
+    if not isinstance(exact, bool):
+        raise InputError(f'"exact" must be true or false, got {exact!r}')
+    if exact:
         mats = [_matrix_from_json(rows, rank) for rows in matrices]
         return MonodromyTuple.exact_tuple(mats, labels)
     mats = []
@@ -160,11 +180,8 @@ def tuple_from_json(obj: dict) -> MonodromyTuple:
         rows = [_list(r, "a matrix row") for r in _list(rows, "a matrix")]
         if len(rows) != rank or any(len(r) != rank for r in rows):
             raise InputError(f"tuple matrix is not {rank} x {rank}")
-        mats.append(
-            np.array(
-                [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-            ).reshape(rank, rank)
-        )
+        entries = [[_complex(e) for e in row] for row in rows]
+        mats.append(np.array(entries, dtype=complex).reshape(rank, rank))
     return MonodromyTuple.numeric(mats, labels)
 
 

@@ -353,6 +353,17 @@ def test_goodness_oracle_seed_determinism():
     assert ok
 
 
+@pytest.mark.parametrize("args", [{"sample_count": -3}, {"sample_count": 2, "seed": -5}])
+def test_goodness_oracle_refuses_negative_count_or_seed(args):
+    with pytest.raises(InputError, match="nonnegative"):
+        goodness_fiber_oracle(four_lines(), Y_AXIS, **args)
+
+
+def test_goodness_oracle_zero_samples_probes_the_projections():
+    ok, rep = goodness_fiber_oracle(nongood_pair(), Y_AXIS, 0)
+    assert not ok and rep["samples"] and rep["collision"] is not None
+
+
 def test_random_good_agreement_between_poset_and_oracle():
     rng = random.Random(23)
     checked = 0

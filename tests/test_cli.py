@@ -263,6 +263,32 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
     assert len(calls["kernels"]) == 2 and calls["kernels"][1] is not calls["kernels"][0]
 
 
+def test_cli_rh_verify_builds_loop_geometry_once(capsys, monkeypatch):
+    from arrmc import monodromy
+
+    calls = {"loops": 0, "layouts": 0}
+    loops, layout = monodromy.standard_loops, monodromy._lay_out_discs
+
+    def counting_loops(*args):
+        calls["loops"] += 1
+        return loops(*args)
+
+    def counting_layout(*args):
+        calls["layouts"] += 1
+        return layout(*args)
+
+    monkeypatch.setattr(monodromy, "standard_loops", counting_loops)
+    monkeypatch.setattr(monodromy, "_lay_out_discs", counting_layout)
+    code, rep = run_cli(
+        capsys, "rh-verify", corpus("four_lines_system.json"),
+        "--line", "0,1", "--lambda", "1/5", "--base", "2",
+    )
+    assert code == 0 and rep["ok"]
+    # both extractions share the loops, and their discs: the two systems
+    # have the same poles, base point and step fraction
+    assert calls == {"loops": 1, "layouts": 1}
+
+
 def test_cli_checks_input_integrability_once(capsys, monkeypatch, tmp_path):
     from arrmc import Arrangement, Hyperplane, PfaffianSystem, cli, pfaffian
 
@@ -525,6 +551,33 @@ def test_cli_json_boolean_is_not_an_integer(capsys, tmp_path, command, data):
     options = {"check": ["--line", "1", "--lambda", "1/5"], "katz-mc": ["--scalar", "2"]}
     code, rep = run_cli(capsys, command, str(path), *options.get(command, []))
     assert code == 2 and "integer" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ['"2"', "[1]", '["a", 0]', "[true, 0]", "[1, 0, 0]", "[NaN, 0]", "[0, Infinity]", "null"],
+)
+def test_cli_numeric_tuple_entry_must_be_a_pair_of_finite_numbers(capsys, tmp_path, entry):
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"rank": 1, "matrices": [[[{entry}]]]}}', encoding="utf-8")
+    code, rep = run_cli(capsys, "katz-mc", str(path), "--scalar", "2")
+    assert code == 2 and "[re, im] pair of finite numbers" in rep["error"]
+
+
+def test_cli_numeric_tuple_entries_read_as_complex(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"rank": 1, "exact": false, "matrices": [[[[2, 0.5]]]]}', encoding="utf-8")
+    code, rep = run_cli(capsys, "katz-mc", str(path), "--scalar", "2")
+    # one puncture: the convolution multiplies its matrix by the scalar
+    assert code == 0 and rep["tuple"]["matrices"] == [[[[4.0, 1.0]]]]
+
+
+@pytest.mark.parametrize("exact", ['"false"', '"true"', "0", "1", "null"])
+def test_cli_tuple_exact_flag_must_be_a_boolean(capsys, tmp_path, exact):
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"rank": 1, "exact": {exact}, "matrices": [[["2"]]]}}', encoding="utf-8")
+    code, rep = run_cli(capsys, "katz-mc", str(path), "--scalar", "2")
+    assert code == 2 and '"exact" must be true or false' in rep["error"]
 
 
 def test_cli_decone_of_a_line_is_input_error(capsys, tmp_path):

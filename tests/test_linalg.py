@@ -484,6 +484,32 @@ def test_invariant_projection_matches_reduction_reference():
     assert seen["kept"] > 150 and seen["one row"] > 40 and seen["dense"] > 40
 
 
+def test_quotient_matches_reference_with_small_and_large_complements():
+    """Spans with small and large complements C, so the invariance check
+    runs through Pi M (|C|^2 < dim span) and through Pi (M cols): the
+    presentations and refusals match the change-of-basis reference."""
+    rng = random.Random(2015)
+    seen = {(small, kept): 0 for small in (True, False) for kept in (True, False)}
+    for case in range(300):
+        dim = rng.randint(2, 8)
+        k = rng.randint(1, dim - 1)
+        p = _invertible(rng, dim)
+        cols = list(transpose(p)[:k])
+        mats = []
+        for i in range(rng.randint(1, 3)):
+            m = [list(r) for r in sparse_rational(rng, dim, dim, 0.5)]
+            for r in range(k, dim):
+                m[r][:k] = [F(0)] * k
+            if case % 4 == 0 and i == 0:
+                bad = F(rng.choice([-2, 1, 3]), rng.randint(1, 4))
+                m[rng.randrange(k, dim)][rng.randrange(k)] = bad
+            mats.append(mat_mul(p, mat_mul(mat(m), mat_inverse(p))))
+        got = quotient_or_refusal(quotient, mats, cols, dim)
+        assert got == quotient_or_refusal(reference_quotient, mats, cols, dim)
+        seen[((dim - k) ** 2 < k, not isinstance(got, str))] += 1
+    assert min(seen.values()) >= 15, seen
+
+
 def reference_find_invertible_combination(basis, d):
     """The search as it was written with ``det``: same candidates, same order."""
     for s in basis:

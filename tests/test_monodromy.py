@@ -249,6 +249,19 @@ def test_batched_transport_equals_each_polyline_alone():
             assert np.array_equal(m, alone)
 
 
+def test_disc_propagator_does_not_depend_on_its_batch():
+    # one disc alone, at rank 1 a single row of the recurrence, is bitwise
+    # the same disc in the whole batch
+    rng = np.random.default_rng(15)
+    for dim, npoles in RANDOM_SHAPES:
+        ode = random_ode(rng, dim, npoles)
+        theta, order = _step_and_order(ode, TOL)
+        discs = [d for pl in tuple_polylines(ode) for d in _disc_chain(pl, ode.poles, theta)]
+        batch = _disc_propagators(ode, discs, order)
+        for k in (0, len(discs) // 2, len(discs) - 1):
+            assert np.array_equal(_disc_propagators(ode, discs[k : k + 1], order)[0], batch[k])
+
+
 # The block-row recurrence that the pole-wise one replaced, kept as an
 # independent reference: the step-scaled coefficients
 # z^(i+1) A_i = -sum_k R_k u_k^(i+1) laid out as one block row, and each order
@@ -301,7 +314,8 @@ def test_transport_of_a_full_chunk_and_one_more_disc_matches_block_rows():
     # segments shorter than every step, so each segment is one disc
     ode = random_ode(np.random.default_rng(14), 2, 3)
     theta, order = _step_and_order(ode, TOL)
-    for count in (monodromy._CHUNK, monodromy._CHUNK + 1):
+    chunk = monodromy._chunk_discs(ode)
+    for count in (chunk, chunk + 1):
         points = tuple(3 + 3j + 0.05j * k for k in range(count + 1))
         half = count // 2
         for polylines in ([points], [points[: half + 1], points[half:]]):
@@ -314,17 +328,29 @@ def test_transport_of_a_full_chunk_and_one_more_disc_matches_block_rows():
                 assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def extraction_peak(ode):
+    """Peak traced allocation of one tuple extraction, in bytes."""
+    tracemalloc.start()
+    try:
+        monodromy_tuple_of_ode(ode, TOL)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_transport_working_set_is_bounded():
     # rank 4, 4 poles: the block-row recurrence, 16 discs at a time, peaked
     # at about 360 KB on this extraction
     ode = random_ode(np.random.default_rng(3), 4, 4)
-    tracemalloc.start()
-    try:
-        monodromy_tuple_of_ode(ode, TOL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 320_000
+    assert extraction_peak(ode) <= 320_000
+
+
+@pytest.mark.parametrize("dim, npoles", [(1, 4), (2, 2)])
+def test_transport_working_set_is_bounded_at_low_rank(dim, npoles):
+    # a chunk holds 4096 / (dim^2 poles) discs, 1024 at rank 1 with 4 poles
+    # and 512 at rank 2 with 2 poles: each extraction is one batch
+    ode = random_ode(np.random.default_rng(3), dim, npoles)
+    assert extraction_peak(ode) <= 320_000
 
 
 def test_transport_matches_tight_dopri_reference():
