@@ -421,8 +421,12 @@ def main(argv=None) -> int:
     code, report = run(args)
     text = ser.dumps(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -1,17 +1,20 @@
 """Additive convolution and middle convolution along a line direction.
 
 The convolution of a system with parameter lambda lives on the tensor space
-E (x) C^n, one block per hyperplane transverse to the line, over the original
-arrangement enlarged by the shifts of rank-two transverse flats.  Middle
-convolution quotients by the two canonical invariant subspaces: the blockwise
-residue kernels and the diagonal kernel of (sum of residues + lambda).
+V = E (x) C^n, one block per hyperplane transverse to the line, over the
+original arrangement enlarged by the shifts of rank-two transverse flats.
+Middle convolution quotients V by two invariant subspaces, the blockwise
+residue kernels K and the diagonal kernel L of (sum of residues + lambda).
+It runs on W = (+)_p im A_p = V/K, never on V, and decides integrability on
+the input; ``convolve`` builds V for its own report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 
 from .arrangement import (
     Arrangement,
@@ -31,14 +34,21 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    _echelon,
+    _integer_nonzero_rows,
+    _integer_rows,
+    _mul_nonzero,
+    _nonzero_rows,
     identity,
     invariant_projection,
     invertible_intertwiner,
     mat_add,
+    mat_mul,
     mat_scale,
-    nullspace,
-    quotient,
     rank,
+    row_and_null_space,
+    rref,
+    transpose,
 )
 from .pfaffian import (
     ConvolutionParameter,
@@ -63,17 +73,17 @@ class ConvolutionResult:
     block_kernel_basis: tuple[Vector, ...]
     diagonal_kernel_basis: tuple[Vector, ...]
 
-    def middle(self) -> PfaffianSystem:
-        """Quotient by the two invariant kernels, presented on the
-        deterministic complement spanned by standard basis vectors chosen
-        greedily in index order.  It is integrable, with no check: the
-        convolution is, and ``convolve`` asserted both kernels invariant."""
-        res, big = self.system.residues, self.system.dim_e
-        kl = list(self.block_kernel_basis) + list(self.diagonal_kernel_basis)
-        mats = quotient(list(res.values()), kl, big)
-        return PfaffianSystem.make(
-            self.system.arrangement, big - len(kl), dict(zip(res, mats)), check=False
-        )
+
+def residue_kernels(
+    sys: PfaffianSystem, y: LineDirection, lam: ConvolutionParameter
+) -> tuple[list[tuple[Matrix, list[Vector]]], list[Vector]]:
+    """The reduced rows and the kernel basis of each transverse residue, in
+    block order, from one ``rref`` each, and the kernel basis of (the sum of
+    the transverse residues + lambda)."""
+    d = sys.dim_e
+    blocks = [row_and_null_space(sys.residues[lbl], d) for lbl in sys.arrangement.along(y).blocks]
+    shifted = mat_add(sys.transverse_sum(y), mat_scale(identity(d), lam.value))
+    return blocks, row_and_null_space(shifted, d)[1]
 
 
 def kernel_subspaces(
@@ -83,97 +93,68 @@ def kernel_subspaces(
 
     The two spans always intersect trivially; this is asserted.
     """
-    order = sys.arrangement.along(y).blocks
-    n = len(order)
-    d = sys.dim_e
-    big = n * d
-    k_cols: list[Vector] = []
-    for p, lbl in enumerate(order):
-        for v in nullspace(sys.residues[lbl], d):
-            col = [Fraction(0)] * big
-            for i, x in enumerate(v):
-                col[p * d + i] = x
-            k_cols.append(tuple(col))
-    shifted = mat_add(sys.transverse_sum(y), mat_scale(identity(d), lam.value))
-    l_cols: list[Vector] = []
-    for v in nullspace(shifted, d):
-        col = [Fraction(0)] * big
-        for p in range(n):
-            for i, x in enumerate(v):
-                col[p * d + i] = x
-        l_cols.append(tuple(col))
+    blocks, diagonal = residue_kernels(sys, y, lam)
+    n, d = len(blocks), sys.dim_e
+    zero = (Fraction(0),)
+    k_cols = [zero * (p * d) + v + zero * ((n - 1 - p) * d) for p, (_, ker) in enumerate(blocks) for v in ker]
+    l_cols = [v * n for v in diagonal]
     joint = k_cols + l_cols
     if joint and rank(tuple(joint)) != len(joint):
         raise InternalError("blockwise and diagonal kernels intersect nontrivially")
     return tuple(k_cols), tuple(l_cols)
 
 
-def _accumulate(target: list[list[Fraction]], p: int, q: int, m: Matrix, d: int) -> None:
-    for i in range(d):
-        for j in range(d):
-            target[p * d + i][q * d + j] += m[i][j]
+def _accumulate(
+    sys: PfaffianSystem, y: LineDirection, lam: ConvolutionParameter, left: list, require_good: bool
+) -> tuple[Arrangement, dict[str, Matrix]]:
+    """The convolution's arrangement, and its residues with block row p
+    multiplied on the left by ``left[p]``, an integer matrix with d columns;
+    the products with the residues are taken in integers.
 
-
-def _freeze(rows: list[list[Fraction]]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
-def convolve(
-    sys: PfaffianSystem,
-    y: LineDirection,
-    lam: ConvolutionParameter,
-    require_good: bool = True,
-) -> ConvolutionResult:
-    """Convolution along the line with the given parameter.
-
-    Residues over the enlarged arrangement, per transverse hyperplane block:
-    transverse hyperplanes get one full block row, parallel ones act
+    Transverse hyperplanes get one full block row, parallel ones act
     blockwise diagonally, and the shift X + Y of each rank-two flat X
     receives the antisymmetrized contribution of every transverse pair
     through X (two transverse hyperplanes meet in exactly one such X).
     Contributions landing on the same hyperplane (always, for a good line)
-    are summed into a single residue.  The invariance of both kernels is
-    asserted.
+    are summed into a single residue; a shift that is no hyperplane of the
+    input becomes a new hyperplane ``S#``.
     """
-    arr = sys.arrangement
-    view = arr.along(y)
+    arr, view, d = sys.arrangement, sys.arrangement.along(y), sys.dim_e
     order = view.blocks
-    n = len(order)
-    if n == 0:
+    if not order:
         raise InputError("no hyperplane is transverse to the line; nothing to convolve")
     if require_good:
         good, witness = is_good_line(arr, y)
         if not good:
-            raise NotGoodLine(
-                f"line is not good; offending rank-two flat {witness.rows}"
-            )
-    d = sys.dim_e
-    big = n * d
+            raise NotGoodLine(f"line is not good; offending rank-two flat {witness.rows}")
     pos = {lbl: p for p, lbl in enumerate(order)}
-
-    acc: dict[tuple, list[list[Fraction]]] = {}
+    offsets = list(accumulate(map(len, left), initial=0))
+    width = len(order) * d
     key_of = {h.label: (h.coeffs, h.constant) for h in arr.hyperplanes}
+    integer = {lbl: _integer_nonzero_rows(m) for lbl, m in sys.residues.items()}
+    acc: dict[tuple, list[list[Fraction]]] = {}
 
-    def target(key) -> list[list[Fraction]]:
+    def add(key, p: int, q: int, m: Matrix, negate: bool = False) -> None:
         if key not in acc:
-            acc[key] = [[Fraction(0)] * big for _ in range(big)]
-        return acc[key]
+            acc[key] = [[Fraction(0)] * width for _ in range(offsets[-1])]
+        for row, tr in zip(m, acc[key][offsets[p]:offsets[p + 1]]):
+            for j, x in enumerate(row, q * d):
+                if x:
+                    tr[j] = tr[j] - x if negate else tr[j] + x
 
-    for lbl in order:
-        p = pos[lbl]
-        t = target(key_of[lbl])
-        for lbl2 in order:
-            q = pos[lbl2]
-            m = sys.residues[lbl2]
-            if lbl2 == lbl:
-                m = mat_add(m, mat_scale(identity(d), lam.value))
-            _accumulate(t, p, q, m, d)
+    @cache
+    def product(p: int, lbl: str) -> Matrix:
+        den, rows = integer[lbl]
+        num = _mul_nonzero(left[p], rows, d, zero=0)
+        return tuple(tuple(Fraction(x, den) for x in r) for r in num)
+
+    for p, lbl in enumerate(order):
+        for q, lbl2 in enumerate(order):
+            add(key_of[lbl], p, q, product(p, lbl2))
+        add(key_of[lbl], p, p, mat_scale(left[p], lam.value))
     for h in view.parallel:
-        t = target(key_of[h.label])
-        m = sys.residues[h.label]
-        for p in range(n):
-            _accumulate(t, p, p, m, d)
-
+        for p in range(len(order)):
+            add(key_of[h.label], p, p, product(p, h.label))
     new_keys: dict[tuple, None] = {}
     existing_keys = set(key_of.values())
     for x, shifted in view.shifts:
@@ -181,15 +162,13 @@ def convolve(
         key = _canonical_form(row[:-1], -row[-1])
         if key not in existing_keys:
             new_keys[key] = None
-        t = target(key)
         through = [lbl for lbl in order if lbl in x.containing]
         for lbl1, lbl2 in combinations(through, 2):
             p1, p2 = pos[lbl1], pos[lbl2]
-            a1, a2 = sys.residues[lbl1], sys.residues[lbl2]
-            _accumulate(t, p2, p2, a1, d)
-            _accumulate(t, p2, p1, mat_scale(a1, Fraction(-1)), d)
-            _accumulate(t, p1, p1, a2, d)
-            _accumulate(t, p1, p2, mat_scale(a2, Fraction(-1)), d)
+            add(key, p2, p2, product(p2, lbl1))
+            add(key, p2, p1, product(p2, lbl1), negate=True)
+            add(key, p1, p1, product(p1, lbl2))
+            add(key, p1, p2, product(p1, lbl2), negate=True)
 
     # without new hyperplanes (always, on a good line) the input arrangement
     # is the convolution's, and its cached poset is shared
@@ -206,20 +185,94 @@ def convolve(
             used_labels.add(lbl)
             hyperplanes.append(Hyperplane(key[0], key[1], lbl))
         merged = Arrangement.make(arr.ambient_dim, hyperplanes)
+    zero = [[Fraction(0)] * width for _ in range(offsets[-1])]
+    residues = {
+        h.label: tuple(map(tuple, acc.get((h.coeffs, h.constant), zero)))
+        for h in merged.hyperplanes
+    }
+    return merged, residues
 
-    residues = {}
-    for h in merged.hyperplanes:
-        key = (h.coeffs, h.constant)
-        residues[h.label] = _freeze(acc[key]) if key in acc else _freeze(
-            [[Fraction(0)] * big for _ in range(big)]
-        )
-    out = PfaffianSystem.make(merged, big, residues, check=True)
 
+def convolve(
+    sys: PfaffianSystem,
+    y: LineDirection,
+    lam: ConvolutionParameter,
+    require_good: bool = True,
+) -> ConvolutionResult:
+    """Convolution along the line with the given parameter on the n d space
+    V, checked integrable, with both kernels asserted invariant."""
+    d, order = sys.dim_e, sys.arrangement.along(y).blocks
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    merged, residues = _accumulate(sys, y, lam, [unit] * len(order), require_good)
+    out = PfaffianSystem.make(merged, len(order) * d, residues, check=True)
     k_cols, l_cols = kernel_subspaces(sys, y, lam)
     mats = list(out.residues.values())
-    invariant_projection(mats, list(k_cols), big, "blockwise kernel")
-    invariant_projection(mats, list(l_cols), big, "diagonal kernel")
+    invariant_projection(mats, list(k_cols), out.dim_e, "blockwise kernel")
+    invariant_projection(mats, list(l_cols), out.dim_e, "diagonal kernel")
     return ConvolutionResult(out, order, k_cols, l_cols)
+
+
+def middle_convolve_with_kernel_dims(
+    sys: PfaffianSystem, y: LineDirection, lam: ConvolutionParameter, require_good: bool = True
+) -> tuple[PfaffianSystem, int, int]:
+    """The middle convolution, and the dimensions of the blockwise and the
+    diagonal kernel K and L, computed on W = (+)_p im A_p, never on the n d
+    space V of ``convolve``.
+
+    phi = diag(phi_p), phi_p independent rows of A_p, maps V onto W with
+    kernel K (Dettweiler-Reiter 2007); a residue M enters only as phi M,
+    whose block (p, q) is phi_p M_pq.  K is invariant iff every
+    phi_p M_pq N_q = 0, N_q a kernel basis of A_q; L is invariant modulo K
+    iff phi M L lies in phi(L); K meets L trivially iff phi(L) has full
+    rank.  The presentation is ``linalg.quotient``'s by K + L: e_j is in the
+    complement C iff phi(e_j) is not in the span of phi(L) and the phi(e_i)
+    before it, and a residue is the C-rows of [phi(L) | phi(e_C)]^-1 phi M e_C.
+    Integrability is decided on the input; a non-integrable one goes through
+    ``convolve``, whose refusal names the convolution's witness.
+    """
+    if not sys.integrability.ok:
+        convolve(sys, y, lam, require_good)
+    blocks, diagonal = residue_kernels(sys, y, lam)
+    n, d = len(blocks), sys.dim_e
+    phis = [_integer_rows(red) for red, _ in blocks]
+    merged, residues = _accumulate(sys, y, lam, phis, require_good)
+    # the rows of phi M that are not zero (a transverse residue has r_p of
+    # them) and the kernel vectors, each scaled to integers
+    live = [_integer_rows([r for r in m if any(r)]) for m in residues.values()]
+    for q, (_, ker) in enumerate(blocks):
+        ker_rows = _nonzero_rows(transpose(_integer_rows(ker)))
+        for m in live:
+            on_ker = _mul_nonzero([r[q * d:(q + 1) * d] for r in m], ker_rows, len(ker), zero=0)
+            if any(map(any, on_ker)):
+                raise InternalError("blockwise kernel is not invariant; quotient ill-defined")
+
+    ell = len(diagonal)
+    diag_cols = _nonzero_rows(transpose(diagonal))
+    # the rows of [phi(L) | phi(e_0) ... phi(e_(nd-1))]; its pivot columns
+    # are the greedy choice, phi(L) first
+    zero = (Fraction(0),)
+    spans = [
+        l_row + zero * (p * d) + tuple(r) + zero * ((n - 1 - p) * d)
+        for p, phi in enumerate(phis)
+        for l_row, r in zip(_mul_nonzero(phi, diag_cols, ell), phi)
+    ]
+    pivots = _echelon(_integer_rows(spans))[1]
+    if pivots[:ell] != list(range(ell)):
+        raise InternalError("blockwise and diagonal kernels intersect nontrivially")
+    comp = [j - ell for j in pivots[ell:]]
+    basis = [s[:ell] + tuple(s[ell + c] for c in comp) + e for s, e in zip(spans, identity(len(spans)))]
+    # the C-rows of [phi(L) | phi(e_C)]^-1
+    inverse = tuple(r[len(spans):] for r in rref(tuple(basis))[0][ell:])
+
+    out = {}
+    for lbl, m in residues.items():
+        if ell:
+            folded = tuple(tuple(sum(x for x in r[i::d] if x) for i in range(d)) for r in m)
+            if any(map(any, mat_mul(inverse, _mul_nonzero(folded, diag_cols, ell)))):
+                raise InternalError("diagonal kernel is not invariant; quotient ill-defined")
+        out[lbl] = mat_mul(inverse, tuple(tuple(r[c] for c in comp) for r in m))
+    kdim = sum(len(ker) for _, ker in blocks)
+    return PfaffianSystem.make(merged, len(comp), out, check=False), kdim, ell
 
 
 def middle_convolve(
@@ -228,9 +281,9 @@ def middle_convolve(
     lam: ConvolutionParameter,
     require_good: bool = True,
 ) -> PfaffianSystem:
-    """Quotient of the convolution by the two invariant kernels
-    (``ConvolutionResult.middle``)."""
-    return convolve(sys, y, lam, require_good=require_good).middle()
+    """The quotient of the convolution by its two invariant kernels,
+    computed on the residue images (``middle_convolve_with_kernel_dims``)."""
+    return middle_convolve_with_kernel_dims(sys, y, lam, require_good)[0]
 
 
 # ---------------------------------------------------------------------------

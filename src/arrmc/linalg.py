@@ -20,12 +20,12 @@ A d x d matrix is nonsingular iff its ``rank`` is d; there is no
 determinant.  ``kernel_pencil_ok``, the star test, grows an observability
 row space on integer rows.  ``invariant_projection`` reads the projection
 Pi along span(cols) off the one rref of ``_reduced_span`` and checks
-Pi M cols = 0, the invariance every quotient of the middle convolution needs,
-through Pi M when the complement is small; ``quotient`` presents Pi M on
-the complement, reusing the check's Pi M when it formed them, with no
-change of basis and no inverse.  ``invertible_intertwiner`` is the exact
-isomorphism search: an invertible element of the intertwiner space, found
-by ``rank``.
+Pi M cols = 0, the invariance of the kernels of ``convolution.convolve``;
+``quotient`` presents Pi M on the complement, with no change of basis and
+no inverse.  The middle convolution needs neither: it runs on the residue
+images, and takes its products there in integers (``_mul_nonzero`` with
+``zero=0``).  ``invertible_intertwiner`` is the exact isomorphism search:
+an invertible element of the intertwiner space, found by ``rank``.
 """
 
 from __future__ import annotations
@@ -103,11 +103,12 @@ def _nonzero_rows(b: Matrix) -> list[list[tuple[int, Fraction]]]:
     return [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
 
 
-def _mul_nonzero(a: Matrix, b_nonzero, ncols: int) -> Matrix:
-    """a times the ``ncols``-column matrix whose rows ``_nonzero_rows`` gave."""
+def _mul_nonzero(a: Matrix, b_nonzero, ncols: int, zero=Fraction(0)) -> Matrix:
+    """a times the ``ncols``-column matrix whose rows ``_nonzero_rows`` gave;
+    ``zero=0`` multiplies integer matrices in integers."""
     out = []
     for ra in a:
-        acc = [Fraction(0)] * ncols
+        acc = [zero] * ncols
         for x, rb in zip(ra, b_nonzero):
             if x:
                 for j, y in rb:
@@ -133,6 +134,13 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for r in m for x in r)
+
+
+def _integer_nonzero_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The lcm D of the denominators of ``m``, and the ``_nonzero_rows`` of
+    the integer matrix D m."""
+    den = lcm(*[x.denominator for r in m for x in r])
+    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x] for r in m]
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
@@ -213,9 +221,15 @@ def rank(m: Matrix) -> int:
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
     """Canonical kernel basis: one vector per free column, ordered by it."""
+    return row_and_null_space(m, ncols)[1]
+
+
+def row_and_null_space(m: Matrix, ncols: int | None = None) -> tuple[Matrix, list[Vector]]:
+    """The reduced rows of ``m``, a basis of its row space, and the canonical
+    kernel basis read off them: one ``rref``."""
     if not m:
         n = ncols if ncols is not None else 0
-        return [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
+        return (), [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
     n = len(m[0])
     red, pivots = rref(m)
     pivset = set(pivots)
@@ -228,7 +242,7 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
         for r, p in enumerate(pivots):
             v[p] = -red[r][j]
         basis.append(tuple(v))
-    return basis
+    return red, basis
 
 
 def charpoly(m: Matrix) -> Poly:
@@ -295,9 +309,7 @@ def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
     growing, at most ``dim`` rounds of one integer elimination each; A is
     scaled by the lcm of its denominators, which keeps every O A.
     """
-    a = mats[idx]
-    den = lcm(*[x.denominator for r in a for x in r])
-    a_int = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x] for r in a]
+    a_int = _integer_nonzero_rows(mats[idx])[1]
     others = tuple(r for j, m in enumerate(mats) if j != idx for r in m)
     obs, _ = _echelon(_integer_rows(others))
     while len(obs) < dim:
@@ -411,61 +423,33 @@ def invariant_projection(
     With B the reduced basis of span(cols), the identity on the skipped
     coordinates S, the class of v has coordinates v[C] - B[C,:] v[S]; that
     projection Pi is [1 on C | -B[C,:] on S], and its kernel is span(cols).
-    So span(cols) is invariant under M iff Pi M cols = 0.  Raises
-    InternalError, naming ``what``, for the first M where it is not, and
-    when ``cols`` are dependent.
-    """
-    return _checked_projection(mats, cols, dim, what)[:2]
-
-
-def _checked_projection(
-    mats: list[Matrix], cols: list[Vector], dim: int, what: str
-) -> tuple[list[int], Matrix, list[Matrix] | None]:
-    """``invariant_projection``, and Q = Pi M restricted to C for every M
-    when the check formed them, else None.
-
-    As B is the identity on S, Pi M B = (Pi M)[:, S] + Q B[C,:], whose
-    second term costs |C|^2 dim(span) products.  When |C|^2 < dim(span), as
-    for the quotient by K + L, the check forms Pi M, reads Q off it and tests
-    that sum; otherwise it forms Pi (M cols), which is cheaper for a larger
-    C, reading the nonzero pattern of cols once.
+    So span(cols) is invariant under M iff Pi (M cols) = 0, formed reading
+    the nonzero pattern of cols once.  Raises InternalError, naming
+    ``what``, for the first M where it is not, and when ``cols`` are
+    dependent.
     """
     basis, skipped, comp = _reduced_span(cols, dim)
-    b_comp = tuple(tuple(b[c] for b in basis) for c in comp)
     proj = []
-    for c, coeffs in zip(comp, b_comp):
+    for c in comp:
         row = [Fraction(0)] * dim
         row[c] = Fraction(1)
-        for s, x in zip(skipped, coeffs):
-            row[s] = -x
+        for s, b in zip(skipped, basis):
+            row[s] = -b[c]
         proj.append(tuple(row))
     proj = tuple(proj)
-    if not (cols and comp):
-        return comp, proj, None
-    if len(comp) ** 2 < len(cols):
-        quotients = []
+    if cols and comp:
+        span = _nonzero_rows(transpose(tuple(cols)))
         for m in mats:
-            pm = mat_mul(proj, m)
-            q = tuple(tuple(r[c] for c in comp) for r in pm)
-            on_span = mat_add(mat_mul(q, b_comp), tuple(tuple(r[s] for s in skipped) for r in pm))
-            if not is_zero_matrix(on_span):
+            if not is_zero_matrix(mat_mul(proj, _mul_nonzero(m, span, len(cols)))):
                 raise InternalError(f"{what} is not invariant; quotient ill-defined")
-            quotients.append(q)
-        return comp, proj, quotients
-    span = _nonzero_rows(transpose(tuple(cols)))
-    for m in mats:
-        if not is_zero_matrix(mat_mul(proj, _mul_nonzero(m, span, len(cols)))):
-            raise InternalError(f"{what} is not invariant; quotient ill-defined")
-    return comp, proj, None
+    return comp, proj
 
 
 def quotient(mats: list[Matrix], cols: list[Vector], dim: int) -> list[Matrix]:
     """Action of each dim x dim matrix M on C^dim / span(cols), presented on
     the complement C of ``invariant_projection``: Pi M restricted to C."""
-    comp, proj, quotients = _checked_projection(mats, cols, dim, "span")
-    if quotients is None:
-        quotients = [mat_mul(proj, tuple(tuple(r[c] for c in comp) for r in m)) for m in mats]
-    return quotients
+    comp, proj = invariant_projection(mats, cols, dim, "span")
+    return [mat_mul(proj, tuple(tuple(r[c] for c in comp) for r in m)) for m in mats]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve
+from .convolution import middle_convolve_with_kernel_dims
 from .errors import AssumptionFail, StepUnderflow, ToleranceNotMet
 from .fuchsian import FuchsianODE, LoopPath, enclosing_polyline, standard_loops, validate_loop
 from .katz import (
@@ -389,17 +389,15 @@ def verify_mc_compatibility(
     kernels = multiplicative_kernels(ext0.monodromy, character, rank_tol)
     t_mult = quotient_by_fixed_spaces(ext0.monodromy, kernels, rank_tol)
     kdim, ldim = (cols.shape[1] for cols in kernels[:2])
-    cr = convolve(sys, y, lam)
-    k_exact, l_exact = cr.block_kernel_basis, cr.diagonal_kernel_basis
-    if (kdim, ldim) != (len(k_exact), len(l_exact)):
+    mc_sys, k_exact, l_exact = middle_convolve_with_kernel_dims(sys, y, lam)
+    if (kdim, ldim) != (k_exact, l_exact):
         conds = ", ".join(f"{c:.2e}" for c in ext0.monodromy.condition_numbers())
         raise ToleranceNotMet(
             f"numeric fixed-space dimensions ({kdim}, {ldim}) disagree with the "
-            f"exact kernels ({len(k_exact)}, {len(l_exact)}); generator condition "
+            f"exact kernels ({k_exact}, {l_exact}); generator condition "
             f"numbers [{conds}] exceed what the rank threshold {rank_tol:g} resolves"
         )
 
-    mc_sys = cr.middle()
     ext1 = monodromy_tuple_of_ode(fiber_restriction(mc_sys, y, base), tol, loops)
     t_restr = ext1.monodromy
 

@@ -11,10 +11,11 @@ from arrmc import (
     Hyperplane,
     LineDirection,
     PfaffianSystem,
+    convolve,
 )
 from arrmc.arrangement import Flat
 from arrmc.errors import InternalError
-from arrmc.linalg import Matrix, Vector, mat, mat_mul, rank, rref, transpose
+from arrmc.linalg import Matrix, Vector, mat, mat_mul, quotient, rank, rref, transpose
 
 Y_AXIS = LineDirection.make([0, 1])
 
@@ -164,6 +165,19 @@ def assert_invariant(mats: list[Matrix], cols: tuple[Vector, ...], name: str) ->
             terms = [(image[p], row) for p, row in zip(pivots, red) if image[p]]
             if any(image[j] != sum((c * row[j] for c, row in terms), F(0)) for j in free):
                 raise InternalError(f"{name} is not invariant under a residue")
+
+
+def reference_middle_convolve(sys, y, lam, require_good=True) -> PfaffianSystem:
+    """The middle convolution as the quotient of ``convolve``'s n d space by
+    K + L, on the complement ``linalg.quotient`` chooses: the reference for
+    ``middle_convolve``, which never builds that space."""
+    cr = convolve(sys, y, lam, require_good=require_good)
+    res, big = cr.system.residues, cr.system.dim_e
+    kl = list(cr.block_kernel_basis) + list(cr.diagonal_kernel_basis)
+    mats = quotient(list(res.values()), kl, big)
+    return PfaffianSystem.make(
+        cr.system.arrangement, big - len(kl), dict(zip(res, mats)), check=False
+    )
 
 
 def line_points(qs) -> Arrangement:

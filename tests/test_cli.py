@@ -240,7 +240,7 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
     from arrmc import cli, convolution, monodromy, pfaffian
 
     calls = {"genericity": 0, "kernels": []}
-    genericity, kernels = pfaffian.check_assumption_generic, convolution.kernel_subspaces
+    genericity, kernels = pfaffian.check_assumption_generic, convolution.residue_kernels
 
     def counting_genericity(*args):
         calls["genericity"] += 1
@@ -252,7 +252,7 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
 
     for module in (pfaffian, cli, monodromy):
         monkeypatch.setattr(module, "check_assumption_generic", counting_genericity)
-    monkeypatch.setattr(convolution, "kernel_subspaces", counting_kernels)
+    monkeypatch.setattr(convolution, "residue_kernels", counting_kernels)
     code, rep = run_cli(
         capsys, "rh-verify", corpus("four_lines_system.json"),
         "--line", "0,1", "--lambda", "1/5", "--base", "2",
@@ -359,6 +359,42 @@ def test_cli_unreadable_input_is_input_error(capsys, tmp_path):
     for path in (str(CORPUS), str(undecodable)):
         code, rep = run_cli(capsys, "poset", path)
         assert code == 2 and path in rep["error"]
+
+
+def test_cli_unwritable_out_is_input_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["check", corpus("four_lines_system.json"), "--line", "0,1",
+                 "--lambda", "1/5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists() and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_convolving_a_non_integrable_input_is_input_error(capsys, tmp_path):
+    # a random rank-2 four-lines system whose residues through the origin
+    # do not commute with their sum
+    residues = {
+        "x": [["3/4", "3/4"], ["-1", "1/4"]],
+        "y": [["0", "0"], ["1/2", "1/2"]],
+        "d": [["-1/2", "3"], ["1/3", "1/2"]],
+        "x1": [["-1", "2"], ["1", "0"]],
+    }
+    from arrmc import PfaffianSystem
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(ser.dumps(ser.system_to_json(
+        PfaffianSystem.make(four_lines(), 2, residues, check=False)
+    )))
+    line = ("--line", "0,1", "--lambda", "1/5", "--unchecked")
+    for argv in (("middle-convolve", str(bad), *line),
+                 ("compose-verify", str(bad), *line, "--mu", "1/7")):
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert rep == {
+            "command": argv[0],
+            "error": "integrability fails at flat of rank two (hyperplane d)",
+        }
 
 
 def test_cli_input_error_exit_codes(capsys):

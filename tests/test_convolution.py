@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from arrmc import (
     middle_convolve,
     verify_composition_law,
 )
+from arrmc.convolution import middle_convolve_with_kernel_dims
 from arrmc import convolution
 from arrmc.arrangement import _canonical_form, _flat_from_augmented, shift_flat_along
 from arrmc.errors import InternalError
@@ -35,6 +37,7 @@ from arrmc.linalg import (
 )
 
 from conftest import (
+    X_AXIS_1D,
     Y_AXIS,
     composition_corpus,
     four_lines_system,
@@ -45,6 +48,7 @@ from conftest import (
     mat_vec,
     nongood_pair,
     random_arrangement,
+    reference_middle_convolve,
 )
 
 LAM = ConvolutionParameter.make(F(1, 5))
@@ -152,6 +156,22 @@ def test_convolve_names_the_kernel_that_is_not_invariant(monkeypatch):
     monkeypatch.setattr(convolution, "kernel_subspaces", lambda *args: ((), (e1,)))
     with pytest.raises(InternalError, match="^diagonal kernel is not invariant"):
         convolve(sys, Y_AXIS, LAM)
+
+
+def test_middle_convolve_names_the_check_that_fails(monkeypatch):
+    """The checks on the residue images keep the messages of the n d
+    checks: K blockwise, L in W, and K meeting L."""
+    sys = kz_system()  # A_y and A_d have rank one, K = (e_1, 0) + (0, e_2)
+    (red_y, ker_y), block_d = convolution.residue_kernels(sys, Y_AXIS, LAM)[0]
+    e1, e2 = identity(2)
+    for blocks, diagonal, message in (
+        ([(red_y, [e2]), block_d], [], "^blockwise kernel is not invariant"),
+        ([(red_y, ker_y), block_d], [e1], "^diagonal kernel is not invariant"),
+        ([(red_y, ker_y), block_d], [e1, e1], "^blockwise and diagonal kernels intersect"),
+    ):
+        monkeypatch.setattr(convolution, "residue_kernels", lambda *args: (blocks, diagonal))
+        with pytest.raises(InternalError, match=message):
+            middle_convolve(sys, Y_AXIS, LAM)
 
 
 def test_middle_convolve_dimension_formula():
@@ -418,3 +438,60 @@ def test_convolve_matches_the_pairwise_reference_on_random_systems():
         seen[good] += 1
         compared += 1
     assert min(seen.values()) >= 70, seen
+
+
+def _outcome(mc, sys, y, lam, require_good):
+    """The middle convolution's arrangement, rank and residues."""
+    out = mc(sys, y, lam, require_good)
+    hyperplanes = [(h.label, h.coeffs, h.constant) for h in out.arrangement.hyperplanes]
+    return hyperplanes, out.dim_e, out.residues
+
+
+def _low_rank(rng, d, zero_share=0.3):
+    """A random d x d matrix of rank 0 to d."""
+    def draw(rows, cols):
+        return mat([[0 if rng.random() < zero_share else F(rng.randint(-4, 4), rng.randint(1, 5))
+                     for _ in range(cols)] for _ in range(rows)])
+    r = rng.randint(0, d)
+    return mat_mul(draw(d, r), draw(r, d)) if r else mat([[0] * d] * d)
+
+
+def test_middle_convolve_matches_the_nd_quotient():
+    """``middle_convolve``, computed on the residue images, against the
+    quotient of the n d convolution by K + L: the same arrangement, rank and
+    residues entry for entry, on the corpus (line,
+    ``kz``, triple point and slab systems), a rank-0 result, random line
+    systems with and without K and L, and non-good lines, whose convolution
+    adds ``S`` hyperplanes."""
+    rng = random.Random(2020)
+    cases = [(sys, y, LAM, True) for sys, y in composition_corpus()]
+    cases.append((four_lines_system(0, 0, 0, 0), Y_AXIS, ConvolutionParameter.make(F(1, 2)), True))
+    cases.append((four_lines_system(F(1, 2), F(1, 3), 0, 0), Y_AXIS, ConvolutionParameter.make(F(-5, 6)), True))
+    for _ in range(60):
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        mats = [_low_rank(rng, d) if rng.random() < 0.6 else _low_rank(rng, d, 0.0) for _ in range(n)]
+        lam = ConvolutionParameter.make(F(rng.choice((-3, -1, 1, 2)), 5))
+        if rng.random() < 0.4:
+            # residue sum + lambda of low rank: L is nonzero
+            rest = reduce(mat_add, mats[1:], mat_scale(identity(d), lam.value))
+            mats[0] = mat_add(_low_rank(rng, d), mat_scale(rest, F(-1)))
+        cases.append((line_system(list(range(n)), mats), X_AXIS_1D, lam, True))
+    cases.append((PfaffianSystem.make(nongood_pair(), 1, {"y": [[F(1, 2)]], "d": [[F(1, 3)]]}), Y_AXIS, LAM, False))
+    while len(cases) < 140:
+        dim = rng.choice((2, 3))
+        arr = random_arrangement(rng, dim, rng.randint(2, 4))
+        y = LineDirection.make([rng.randint(-1, 1) for _ in range(dim - 1)] + [1])
+        if arr.along(y).transverse and arr.along(y).witness is not None:
+            cases.append((_commuting_system(rng, arr), y, LAM, False))
+    seen = {"K": 0, "L": 0, "neither": 0, "rank 0": 0, "S": 0}
+    for sys, y, lam, good in cases:
+        want = _outcome(reference_middle_convolve, sys, y, lam, good)
+        assert _outcome(middle_convolve, sys, y, lam, good) == want
+        k, l = kernel_subspaces(sys, y, lam)
+        assert middle_convolve_with_kernel_dims(sys, y, lam, good)[1:] == (len(k), len(l))
+        seen["K"] += bool(k)
+        seen["L"] += bool(l)
+        seen["neither"] += not (k or l)
+        seen["rank 0"] += want[1] == 0
+        seen["S"] += len(want[0]) > len(sys.arrangement)
+    assert min(seen.values()) >= 1 and seen["S"] >= 40 and seen["L"] >= 10, seen

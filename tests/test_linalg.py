@@ -485,8 +485,7 @@ def test_invariant_projection_matches_reduction_reference():
 
 
 def test_quotient_matches_reference_with_small_and_large_complements():
-    """Spans with small and large complements C, so the invariance check
-    runs through Pi M (|C|^2 < dim span) and through Pi (M cols): the
+    """Spans with small (|C|^2 < dim span) and large complements C: the
     presentations and refusals match the change-of-basis reference."""
     rng = random.Random(2015)
     seen = {(small, kept): 0 for small in (True, False) for kept in (True, False)}
