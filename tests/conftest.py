@@ -15,7 +15,21 @@ from arrmc import (
 )
 from arrmc.arrangement import Flat
 from arrmc.errors import InternalError
-from arrmc.linalg import Matrix, Vector, mat, mat_mul, quotient, rank, rref, transpose
+from arrmc.linalg import (
+    Matrix,
+    Vector,
+    dot,
+    extend_to_basis,
+    from_columns,
+    identity,
+    mat,
+    mat_mul,
+    nullspace,
+    quotient,
+    rank,
+    rref,
+    transpose,
+)
 
 Y_AXIS = LineDirection.make([0, 1])
 
@@ -307,6 +321,44 @@ def transverse_rank_two(arr: Arrangement, y: LineDirection) -> tuple[Flat, ...]:
     """Rank-two flats of the transverse subarrangement, from its own poset:
     the reference for the Xs of ``arr.along(y).shifts``."""
     return Arrangement.make(arr.ambient_dim, arr.along(y).transverse).poset.rank_two()
+
+
+def reference_basis(y: LineDirection) -> Matrix:
+    """An invertible matrix whose last column is y, the others standard
+    vectors chosen greedily in index order: the reference for the axis of
+    ``AlongLine``, the coordinate of y that no standard vector replaces."""
+    dim = y.dim
+    std = identity(dim)
+    chosen = [std[j] for j in extend_to_basis([y.direction], dim)]
+    return from_columns(chosen + [y.direction], dim)
+
+
+def reference_forms(arr: Arrangement, y: LineDirection) -> dict[str, Vector]:
+    """Each hyperplane's linear part in the coordinates of ``reference_basis``."""
+    cols = tuple(zip(*reference_basis(y)))
+    return {h.label: tuple(dot(h.coeffs, col) for col in cols) for h in arr.hyperplanes}
+
+
+def reference_coordinates(y: LineDirection, x: Vector) -> Vector:
+    """Coordinates u with ``reference_basis(y) @ u = x``, by one ``rref``."""
+    basis = reference_basis(y)
+    n = len(basis)
+    red, pivots = rref(tuple(basis[i] + (x[i],) for i in range(n)))
+    if pivots != tuple(range(n)):
+        raise InternalError("transverse basis is singular")
+    return tuple(r[-1] for r in red)
+
+
+def reference_shift(flat: Flat, y: LineDirection) -> Flat:
+    """The flat X + Y by elimination: the normals of X's directions and y,
+    through X's point, in reduced echelon form.  The reference for
+    ``AlongLine.shifts``."""
+    normals = nullspace(tuple(flat.directions() + [y.direction]), flat.ambient_dim)
+    p = flat.point()
+    red, pivots = rref(tuple(w + (dot(w, p),) for w in normals))
+    if flat.ambient_dim in pivots:
+        raise InternalError("shifting a flat produced an empty set")
+    return Flat(flat.ambient_dim, red, frozenset())
 
 
 def brute_force_poset(arr: Arrangement) -> set[Matrix]:

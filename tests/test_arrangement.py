@@ -35,6 +35,9 @@ from conftest import (
     nongood_pair,
     random_arrangement,
     random_arrangement_with_parallels,
+    reference_coordinates,
+    reference_forms,
+    reference_shift,
     transverse_rank_two,
 )
 
@@ -180,6 +183,42 @@ def test_shift_flats_are_the_transverse_rank_two_flats_random(dim):
             assert got == [x.rows for x in transverse_rank_two(arr, y)]
             checked += bool(got)
     assert checked >= 10
+
+
+# directions whose last coordinate is 0 put the axis of the view elsewhere
+_OFF_AXIS = {2: [(1, 0), (2, -1)], 3: [(0, 1, 0), (2, -1, 0), (1, 0, 0)], 4: [(1, -2, 1, 0), (0, 0, 1, 0)]}
+
+
+def test_along_line_matches_the_elimination_references_random():
+    """``forms``, the coordinates of every flat's point and directions, and
+    the shifts X + Y, against the basis-and-elimination references, on
+    random arrangements in C^2 to C^4 and random directions, some with last
+    coordinate 0."""
+    rng = random.Random(2021)
+    off_axis = shifted = 0
+    for trial in range(300):
+        dim = 2 + trial % 3
+        if trial % 4 == 0 and dim < 4:
+            arr = random_arrangement_with_parallels(rng, dim)
+        else:
+            arr = random_arrangement(rng, dim, rng.randint(2, 7 - dim))
+        if trial // 3 % 3 == 0:
+            direction = rng.choice(_OFF_AXIS[dim])
+        else:
+            direction = [rng.randint(-2, 2) for _ in range(dim)]
+            if not any(direction):
+                continue
+        y = LineDirection.make(direction)
+        off_axis += y.direction[-1] == 0
+        view = arr.along(y)
+        assert view.forms == reference_forms(arr, y)
+        for f in arr.poset.flats():
+            for x in [f.point()] + f.directions():
+                assert arrangement._solve_coordinates(view.basis, x) == reference_coordinates(y, x)
+        want = [(x.rows, reference_shift(x, y).rows) for x in transverse_rank_two(arr, y)]
+        assert [(x.rows, s.rows) for x, s in view.shifts] == want
+        shifted += len(want)
+    assert off_axis >= 100 and shifted >= 800, (off_axis, shifted)
 
 
 def test_goodline_job_builds_one_poset(monkeypatch, tmp_path):

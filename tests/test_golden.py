@@ -28,6 +28,13 @@ SYSTEM_ARGS = ["--line", "0,1", "--lambda", "1/5"]
 CASES = [
     ("four_lines_arrangement.poset", "poset", "four_lines_arrangement.json", [], 0),
     ("four_lines_arrangement.goodline", "goodline", "four_lines_arrangement.json", ["--line", "0,1"], 0),
+    (
+        "four_lines_arrangement.goodline-diagonal",
+        "goodline",
+        "four_lines_arrangement.json",
+        ["--line", "1,1", "--samples", "5"],
+        1,
+    ),
     ("nongood_arrangement.poset", "poset", "nongood_arrangement.json", [], 0),
     ("nongood_arrangement.goodline", "goodline", "nongood_arrangement.json", ["--line", "0,1"], 1),
     ("exact_tuple.katz-mc", "katz-mc", "exact_tuple.json", ["--scalar", "2"], 0),
