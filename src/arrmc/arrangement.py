@@ -1,11 +1,11 @@
 """Exact combinatorics of affine hyperplane arrangements.
 
 Intersection posets (covers decided by containing sets), the arrangement
-seen along a line direction
-(``AlongLine``: the parallel/transverse split, the shifts X + Y and the
-coordinates along the line), good-line detection, cone/decone and fiber
-points.  All data is rational and canonicalized, so equality of hyperplanes
-and flats is syntactic.
+seen along a line direction (``AlongLine``: the parallel/transverse split,
+the coordinates along the line, the shifts X + Y and the convolution's
+arrangement enlarged by them, all in closed form with no elimination),
+good-line detection, cone/decone and fiber points.  All data is rational and
+canonicalized, so equality of hyperplanes and flats is syntactic.
 """
 
 from __future__ import annotations
@@ -15,19 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalError
-from .linalg import (
-    Matrix,
-    Vector,
-    dot,
-    extend_to_basis,
-    frac,
-    from_columns,
-    identity,
-    nullspace,
-    rank,
-    rref,
-    vec,
-)
+from .linalg import Matrix, Vector, dot, frac, nullspace, rank, rref, vec
 
 
 def _canonical_form(coeffs: Vector, constant: Fraction) -> tuple[Vector, Fraction]:
@@ -173,19 +161,16 @@ class Flat:
         return rank(stacked) == self.rank
 
 
-def _flat_from_augmented(dim: int, rows: Matrix, arr: Arrangement | None = None) -> Flat | None:
-    """Canonicalize an augmented system; None when inconsistent (empty flat)."""
+def _flat_from_augmented(arr: Arrangement, rows: Matrix) -> Flat | None:
+    """Canonicalize an augmented system, with the hyperplanes of ``arr``
+    containing its solution set; None when inconsistent (empty flat)."""
+    dim = arr.ambient_dim
     red, pivots = rref(rows)
     if dim in pivots:
         return None
-    containing: frozenset[str] = frozenset()
-    flat = Flat(dim, red, containing)
-    if arr is not None:
-        containing = frozenset(
-            h.label for h in arr.hyperplanes if flat.contains_hyperplane_locus(h)
-        )
-        flat = Flat(dim, red, containing)
-    return flat
+    flat = Flat(dim, red, frozenset())
+    containing = frozenset(h.label for h in arr.hyperplanes if flat.contains_hyperplane_locus(h))
+    return Flat(dim, red, containing)
 
 
 def whole_space_flat(arr: Arrangement) -> Flat:
@@ -230,7 +215,7 @@ def build_intersection_poset(arr: Arrangement) -> IntersectionPoset:
         nxt: dict[Matrix, Flat] = {}
         for flat in frontier:
             for h in arr.hyperplanes:
-                cand = _flat_from_augmented(dim, flat.rows + (h.equation_row(),), arr)
+                cand = _flat_from_augmented(arr, flat.rows + (h.equation_row(),))
                 if cand is None or cand.rank == flat.rank:
                     continue
                 if cand.rows not in seen and cand.rows not in nxt:
@@ -271,40 +256,35 @@ class LineDirection:
         return len(self.direction)
 
 
-def shift_flat_along(flat: Flat, y: LineDirection) -> Flat:
-    """The flat X + Y: same points translated along the line direction."""
-    dirs = flat.directions()
-    extended = dirs + [y.direction]
-    dir_rows = tuple(extended)
-    normals = nullspace(dir_rows, flat.ambient_dim)
-    p = flat.point()
-    rows = tuple(w + (dot(w, p),) for w in normals)
-    shifted = _flat_from_augmented(flat.ambient_dim, rows)
-    if shifted is None:
-        raise InternalError("shifting a flat produced an empty set")
-    return shifted
-
-
 @dataclass(frozen=True, eq=False)
 class AlongLine:
     """The arrangement seen along the line direction y (``Arrangement.along``).
 
-    Each part is computed on first use and kept:
+    Each part is computed on first use and kept, in closed form:
 
-    - ``basis``: an invertible matrix whose last column is y, the others
-      standard vectors chosen greedily in index order, so the change of
-      coordinates x = basis u sending the last axis to y is deterministic;
-    - ``forms``: each hyperplane's linear part in the coordinates u, by
-      label; its last entry is 0 exactly when the hyperplane is parallel to y;
+    - ``axis``: k, the last nonzero coordinate of y.  The coordinates along
+      the line write x as the sum of u_j e_j over j != k, plus u y: they are
+      x_j - (x_k/y_k) y_j for j != k, then u = x_k/y_k (``coordinates``);
+    - ``forms``: each hyperplane's linear part in those coordinates, by
+      label: its coefficients without entry k, then coeffs . y, which is 0
+      exactly when the hyperplane is parallel to y;
     - ``parallel`` and ``transverse``: the split, in arrangement order;
     - ``blocks``: the transverse labels in canonical order, which index the
       tensor factor of the convolution;
     - ``shifts``: (X, X + Y) in poset order for each rank-two flat X met by at
-      least two transverse hyperplanes; X + Y is then a hyperplane;
-    - ``witness``: the first such X whose shift is not a flat, None iff y is
-      good.  The other rank-two flats need no test: if X lies in a parallel
-      H then X + Y = H, and if every hyperplane through X is parallel then
-      X + Y = X.
+      least two transverse hyperplanes.  With r1, r2 the reduced augmented
+      rows of X and y^ = (y, 0), X + Y is the hyperplane of the row
+      (r2 . y^) r1 - (r1 . y^) r2, scaled to lead 1;
+    - ``witness``: the first such X whose shift is no hyperplane of the
+      arrangement, None iff y is good.  A shift has rank one, so it is a flat
+      exactly when it is a hyperplane.  The other rank-two flats need no
+      test: if X lies in a parallel H then X + Y = H, and if every
+      hyperplane through X is parallel then X + Y = X;
+    - ``enlarged``: the convolution's arrangement and the label of each
+      shift in it.  A shift that is no hyperplane becomes a new hyperplane
+      ``S#``, numbered past the used labels in (coeffs, constant) order;
+      without one, always on a good line, it is the arrangement itself,
+      cached poset included.
     """
 
     arrangement: Arrangement
@@ -315,17 +295,19 @@ class AlongLine:
             raise InputError("line direction dimension mismatch")
 
     @cached_property
-    def basis(self) -> Matrix:
-        y, dim = self.line.direction, self.line.dim
-        std = identity(dim)
-        chosen = [std[j] for j in extend_to_basis([y], dim)]
-        return from_columns(chosen + [y], dim)
+    def axis(self) -> int:
+        return max(j for j, c in enumerate(self.line.direction) if c)
+
+    def coordinates(self, x: Vector) -> Vector:
+        y, k = self.line.direction, self.axis
+        u = x[k] / y[k]
+        return tuple(xj - u * yj for j, (xj, yj) in enumerate(zip(x, y)) if j != k) + (u,)
 
     @cached_property
     def forms(self) -> dict[str, Vector]:
-        cols = tuple(zip(*self.basis))
+        y, k = self.line.direction, self.axis
         return {
-            h.label: tuple(dot(h.coeffs, col) for col in cols)
+            h.label: h.coeffs[:k] + h.coeffs[k + 1:] + (dot(h.coeffs, y),)
             for h in self.arrangement.hyperplanes
         }
 
@@ -343,21 +325,42 @@ class AlongLine:
 
     @cached_property
     def shifts(self) -> tuple[tuple[Flat, Flat], ...]:
+        y_hat = self.line.direction + (Fraction(0),)
         transverse = {h.label for h in self.transverse}
         out = []
         for x in self.arrangement.poset.rank_two():
             if len(x.containing & transverse) < 2:
                 continue
-            shifted = shift_flat_along(x, self.line)
-            if shifted.rank != 1:
+            r1, r2 = x.rows
+            a, b = dot(r2, y_hat), dot(r1, y_hat)
+            if a == 0 and b == 0:
                 raise InternalError("transverse rank-two flat must shift to a hyperplane")
-            out.append((x, shifted))
+            row = tuple(a * c1 - b * c2 for c1, c2 in zip(r1, r2))
+            lead = next(c for c in row if c)
+            out.append((x, Flat(x.ambient_dim, (tuple(c / lead for c in row),), frozenset())))
         return tuple(out)
 
     @cached_property
     def witness(self) -> Flat | None:
-        members = {f.rows for f in self.arrangement.poset.flats()}
-        return next((x for x, shifted in self.shifts if shifted.rows not in members), None)
+        rows = {h.equation_row() for h in self.arrangement.hyperplanes}
+        return next((x for x, shifted in self.shifts if shifted.rows[0] not in rows), None)
+
+    @cached_property
+    def enlarged(self) -> tuple[Arrangement, tuple[str, ...]]:
+        arr = self.arrangement
+        label_of = {h.equation_row(): h.label for h in arr.hyperplanes}
+        new = sorted({(r[:-1], -r[-1]) for _, s in self.shifts for r in s.rows} - arr.canonical_set())
+        hyperplanes, used, counter = list(arr.hyperplanes), set(label_of.values()), 0
+        for coeffs, constant in new:
+            counter += 1
+            while f"S{counter}" in used:
+                counter += 1
+            h = Hyperplane(coeffs, constant, f"S{counter}")
+            used.add(h.label)
+            label_of[h.equation_row()] = h.label
+            hyperplanes.append(h)
+        merged = Arrangement.make(arr.ambient_dim, hyperplanes) if new else arr
+        return merged, tuple(label_of[s.rows[0]] for _, s in self.shifts)
 
 
 def is_good_line(arr: Arrangement, y: LineDirection) -> tuple[bool, Flat | None]:
@@ -504,8 +507,8 @@ def goodness_fiber_oracle(
 
     candidates: list[Vector] = []
     for x, _ in view.shifts:
-        proj_p = _solve_coordinates(view.basis, x.point())[:-1]
-        proj_dirs = [_solve_coordinates(view.basis, d)[:-1] for d in x.directions()]
+        proj_p = view.coordinates(x.point())[:-1]
+        proj_dirs = [view.coordinates(d)[:-1] for d in x.directions()]
         if _projection_inside_parallel(proj_p, proj_dirs, proj_rows):
             continue
         candidates.append(_point_on_subspace_off(proj_p, proj_dirs, proj_rows))
@@ -531,16 +534,6 @@ def goodness_fiber_oracle(
             }
             return False, report
     return True, report
-
-
-def _solve_coordinates(basis: Matrix, x: Vector) -> Vector:
-    """Coordinates u with basis @ u = x (basis is square invertible)."""
-    n = len(basis)
-    aug = tuple(basis[i] + (x[i],) for i in range(n))
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
-        raise InternalError("transverse basis is singular")
-    return tuple(r[-1] for r in red)
 
 
 def _projection_inside_parallel(p: Vector, dirs: list[Vector], proj_rows) -> bool:

@@ -16,13 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
 
-from .arrangement import (
-    Arrangement,
-    Hyperplane,
-    LineDirection,
-    _canonical_form,
-    is_good_line,
-)
+from .arrangement import Arrangement, LineDirection, is_good_line
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -116,8 +110,8 @@ def _accumulate(
     receives the antisymmetrized contribution of every transverse pair
     through X (two transverse hyperplanes meet in exactly one such X).
     Contributions landing on the same hyperplane (always, for a good line)
-    are summed into a single residue; a shift that is no hyperplane of the
-    input becomes a new hyperplane ``S#``.
+    are summed into a single residue; the arrangement and the label of each
+    shift are ``Arrangement.along(y).enlarged``.
     """
     arr, view, d = sys.arrangement, sys.arrangement.along(y), sys.dim_e
     order = view.blocks
@@ -130,14 +124,13 @@ def _accumulate(
     pos = {lbl: p for p, lbl in enumerate(order)}
     offsets = list(accumulate(map(len, left), initial=0))
     width = len(order) * d
-    key_of = {h.label: (h.coeffs, h.constant) for h in arr.hyperplanes}
     integer = {lbl: _integer_nonzero_rows(m) for lbl, m in sys.residues.items()}
-    acc: dict[tuple, list[list[Fraction]]] = {}
+    acc: dict[str, list[list[Fraction]]] = {}
 
-    def add(key, p: int, q: int, m: Matrix, negate: bool = False) -> None:
-        if key not in acc:
-            acc[key] = [[Fraction(0)] * width for _ in range(offsets[-1])]
-        for row, tr in zip(m, acc[key][offsets[p]:offsets[p + 1]]):
+    def add(target: str, p: int, q: int, m: Matrix, negate: bool = False) -> None:
+        if target not in acc:
+            acc[target] = [[Fraction(0)] * width for _ in range(offsets[-1])]
+        for row, tr in zip(m, acc[target][offsets[p]:offsets[p + 1]]):
             for j, x in enumerate(row, q * d):
                 if x:
                     tr[j] = tr[j] - x if negate else tr[j] + x
@@ -150,46 +143,22 @@ def _accumulate(
 
     for p, lbl in enumerate(order):
         for q, lbl2 in enumerate(order):
-            add(key_of[lbl], p, q, product(p, lbl2))
-        add(key_of[lbl], p, p, mat_scale(left[p], lam.value))
+            add(lbl, p, q, product(p, lbl2))
+        add(lbl, p, p, mat_scale(left[p], lam.value))
     for h in view.parallel:
         for p in range(len(order)):
-            add(key_of[h.label], p, p, product(p, h.label))
-    new_keys: dict[tuple, None] = {}
-    existing_keys = set(key_of.values())
-    for x, shifted in view.shifts:
-        row = shifted.rows[0]
-        key = _canonical_form(row[:-1], -row[-1])
-        if key not in existing_keys:
-            new_keys[key] = None
+            add(h.label, p, p, product(p, h.label))
+    merged, shift_labels = view.enlarged
+    for (x, _), target in zip(view.shifts, shift_labels):
         through = [lbl for lbl in order if lbl in x.containing]
         for lbl1, lbl2 in combinations(through, 2):
             p1, p2 = pos[lbl1], pos[lbl2]
-            add(key, p2, p2, product(p2, lbl1))
-            add(key, p2, p1, product(p2, lbl1), negate=True)
-            add(key, p1, p1, product(p1, lbl2))
-            add(key, p1, p2, product(p1, lbl2), negate=True)
-
-    # without new hyperplanes (always, on a good line) the input arrangement
-    # is the convolution's, and its cached poset is shared
-    merged = arr
-    if new_keys:
-        hyperplanes = list(arr.hyperplanes)
-        used_labels = set(key_of)
-        counter = 0
-        for key in sorted(new_keys):
-            counter += 1
-            while f"S{counter}" in used_labels:
-                counter += 1
-            lbl = f"S{counter}"
-            used_labels.add(lbl)
-            hyperplanes.append(Hyperplane(key[0], key[1], lbl))
-        merged = Arrangement.make(arr.ambient_dim, hyperplanes)
+            add(target, p2, p2, product(p2, lbl1))
+            add(target, p2, p1, product(p2, lbl1), negate=True)
+            add(target, p1, p1, product(p1, lbl2))
+            add(target, p1, p2, product(p1, lbl2), negate=True)
     zero = [[Fraction(0)] * width for _ in range(offsets[-1])]
-    residues = {
-        h.label: tuple(map(tuple, acc.get((h.coeffs, h.constant), zero)))
-        for h in merged.hyperplanes
-    }
+    residues = {h.label: tuple(map(tuple, acc.get(h.label, zero))) for h in merged.hyperplanes}
     return merged, residues
 
 

@@ -214,7 +214,7 @@ def test_along_line_matches_the_elimination_references_random():
         assert view.forms == reference_forms(arr, y)
         for f in arr.poset.flats():
             for x in [f.point()] + f.directions():
-                assert arrangement._solve_coordinates(view.basis, x) == reference_coordinates(y, x)
+                assert view.coordinates(x) == reference_coordinates(y, x)
         want = [(x.rows, reference_shift(x, y).rows) for x in transverse_rank_two(arr, y)]
         assert [(x.rows, s.rows) for x, s in view.shifts] == want
         shifted += len(want)

@@ -24,7 +24,7 @@ from arrmc import (
 )
 from arrmc.convolution import middle_convolve_with_kernel_dims
 from arrmc import convolution
-from arrmc.arrangement import _canonical_form, _flat_from_augmented, shift_flat_along
+from arrmc.arrangement import Flat, _canonical_form
 from arrmc.errors import InternalError
 from arrmc.linalg import (
     dot,
@@ -34,6 +34,7 @@ from arrmc.linalg import (
     mat_mul,
     mat_scale,
     rank,
+    rref,
 )
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     nongood_pair,
     random_arrangement,
     reference_middle_convolve,
+    reference_shift,
 )
 
 LAM = ConvolutionParameter.make(F(1, 5))
@@ -305,16 +307,16 @@ def test_round_trip_identity_on_corpus():
 def _pair_shifts(arr, y):
     """Transverse hyperplanes in canonical order, and (p1, h1, p2, h2, key)
     for each pair that meets, with key the canonical form of its flat
-    shifted along y."""
+    shifted along y by elimination (``reference_shift``)."""
     rest = sorted(
         (h for h in arr.hyperplanes if dot(h.coeffs, y.direction) != 0),
         key=Hyperplane.sort_key,
     )
     pairs = []
     for (p1, h1), (p2, h2) in combinations(enumerate(rest), 2):
-        flat = _flat_from_augmented(arr.ambient_dim, (h1.equation_row(), h2.equation_row()))
-        if flat is not None:
-            row = shift_flat_along(flat, y).rows[0]
+        red, pivots = rref((h1.equation_row(), h2.equation_row()))
+        if arr.ambient_dim not in pivots:
+            row = reference_shift(Flat(arr.ambient_dim, red, frozenset()), y).rows[0]
             pairs.append((p1, h1, p2, h2, _canonical_form(row[:-1], -row[-1])))
     return rest, pairs
 
