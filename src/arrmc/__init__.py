@@ -63,7 +63,6 @@ from .pfaffian import (
     check_assumption_generic,
     check_integrability,
     check_star_conditions,
-    dual_system,
     fiber_restriction,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "cone",
     "convolve",
     "decone",
-    "dual_system",
     "fiber_points",
     "fiber_restriction",
     "goodness_fiber_oracle",

@@ -77,7 +77,7 @@ class CharacterValue:
 
     def value(self) -> complex:
         if self.scalar is not None:
-            return complex(self.scalar)
+            return la.to_complex(self.scalar)
         return cmath.exp(2j * math.pi * float(self.exponent))
 
     def exact_value(self) -> Fraction | None:
@@ -142,7 +142,10 @@ class MonodromyTuple:
     def to_numeric(self) -> "MonodromyTuple":
         if not self.exact:
             return self
-        ms = tuple(np.array(m, dtype=complex).reshape(self.rank, self.rank) for m in self.matrices)
+        ms = tuple(
+            np.array([[la.to_complex(x) for x in r] for r in m], dtype=complex).reshape(self.rank, self.rank)
+            for m in self.matrices
+        )
         return MonodromyTuple(self.rank, ms, False, self.labels)
 
     @cached_property

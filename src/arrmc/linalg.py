@@ -3,7 +3,8 @@
 Matrices are immutable tuples of row tuples of ``fractions.Fraction``; the
 characteristic polynomials read by the integer eigenvalue search are tuples
 of coefficients in increasing degree order (the zero polynomial is the
-empty tuple).  Everything here is exact; floating point never enters.
+empty tuple).  Everything here is exact; ``to_complex`` is the one way out
+to floating point, and it refuses a value that no float can hold.
 
 Row reduction runs on integers.  ``_integer_rows`` scales each row by the
 lcm of its denominators, which keeps the row space, and ``_echelon``
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import InternalError
+from .errors import InputError, InternalError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -49,6 +50,17 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def to_complex(x: Fraction) -> complex:
+    """The nearest complex float; a value beyond the float range is an input
+    error that names its order of magnitude."""
+    try:
+        return complex(x)
+    except OverflowError:
+        digits = len(str(abs(x.numerator) // x.denominator))
+        sign = "-" if x < 0 else ""
+        raise InputError(f"exact value of order {sign}1e{digits - 1} is too large for a float") from None
 
 
 def vec(xs) -> Vector:

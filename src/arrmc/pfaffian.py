@@ -35,6 +35,7 @@ from .linalg import (
     mat_add,
     mat_scale,
     shape,
+    to_complex,
     transpose,
     zeros,
 )
@@ -178,12 +179,6 @@ def check_star_conditions(sys: PfaffianSystem, y: LineDirection) -> StarReport:
     return StarReport(not failures, tuple(failures))
 
 
-def dual_system(sys: PfaffianSystem) -> PfaffianSystem:
-    """Residues negated and transposed; integrability is preserved."""
-    res = {lbl: mat_scale(transpose(m), Fraction(-1)) for lbl, m in sys.residues.items()}
-    return PfaffianSystem(sys.arrangement, sys.dim_e, res)
-
-
 def fiber_restriction(sys: PfaffianSystem, y: LineDirection, base) -> FuchsianODE:
     """Restrict to the fiber over ``base``: one simple pole per transverse
     hyperplane, same residues, converted to floating complex here and only
@@ -195,10 +190,12 @@ def fiber_restriction(sys: PfaffianSystem, y: LineDirection, base) -> FuchsianOD
             "the line is not good or the base is special"
         )
     items = sorted(fp.points.items(), key=lambda kv: (kv[1], kv[0]))
-    poles = tuple(complex(q) for _, q in items)
+    poles = tuple(to_complex(q) for _, q in items)
     labels = tuple(lbl for lbl, _ in items)
     residues = tuple(
-        np.array(sys.residues[lbl], dtype=complex).reshape(sys.dim_e, sys.dim_e)
+        np.array([[to_complex(x) for x in r] for r in sys.residues[lbl]], dtype=complex).reshape(
+            sys.dim_e, sys.dim_e
+        )
         for lbl in labels
     )
     return FuchsianODE(poles, residues, labels, standard_basepoint(poles), sys.dim_e)

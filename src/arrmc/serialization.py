@@ -76,7 +76,7 @@ def _parse_rational(x) -> Fraction:
         raise InputError(f"rationals must be strings or integers, got {x!r}")
     try:
         return frac(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {x!r}") from exc
 
 

@@ -616,6 +616,47 @@ def test_cli_tuple_exact_flag_must_be_a_boolean(capsys, tmp_path, exact):
     assert code == 2 and '"exact" must be true or false' in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("poset", {"dim": 1, "hyperplanes": [{"label": "h", "coeffs": ["1"], "constant": "1/0"}]}),
+        ("check", {"arrangement": ARRANGEMENT, "dimE": 1, "residues": {"h": [["1/0"]]}}),
+        ("katz-mc", {"rank": 1, "exact": True, "matrices": [[["1/0"]]]}),
+    ],
+)
+def test_cli_zero_denominator_is_input_error(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    options = {"check": ["--line", "1", "--lambda", "1/5"], "katz-mc": ["--scalar", "2"]}
+    code, rep = run_cli(capsys, command, str(path), *options.get(command, []))
+    assert code == 2 and "bad rational '1/0'" in rep["error"]
+
+
+def _four_lines_system_with_residue(d: str) -> dict:
+    data = json.loads(Path(corpus("four_lines_system.json")).read_text(encoding="utf-8"))
+    data["residues"]["d"] = [[d]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, data, options",
+    [
+        # an exact tuple made numeric for a unit-circle character
+        ("katz-mc", {"rank": 1, "exact": True, "matrices": [[["1e400"]]]}, ["--lambda", "1/5"]),
+        # an exact scalar character on a numeric tuple
+        ("katz-mc", {"rank": 1, "matrices": [[[[2, 0]]]]}, ["--scalar", "1e400"]),
+        # a residue on the fiber
+        ("monodromy", _four_lines_system_with_residue("1e400"), ["--line", "0,1", "--base", "2"]),
+        ("monodromy", _four_lines_system_with_residue("-1e400"), ["--line", "0,1", "--base", "2"]),
+    ],
+)
+def test_cli_exact_value_beyond_the_float_range_is_input_error(capsys, tmp_path, command, data, options):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, rep = run_cli(capsys, command, str(path), *options)
+    assert code == 2 and "1e400" in rep["error"] and "too large for a float" in rep["error"]
+
+
 def test_cli_decone_of_a_line_is_input_error(capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(ARRANGEMENT), encoding="utf-8")
