@@ -2,7 +2,9 @@
 
 The convolution of a system with parameter lambda lives on the tensor space
 V = E (x) C^n, one block per hyperplane transverse to the line, over the
-original arrangement enlarged by the shifts of rank-two transverse flats.
+original arrangement enlarged by the shifts of rank-two transverse flats;
+that arrangement, and the hyperplane each shift lands on, are
+``Arrangement.along(y).enlarged``.
 Middle convolution quotients V by two invariant subspaces, the blockwise
 residue kernels K and the diagonal kernel L of (sum of residues + lambda).
 It runs on W = (+)_p im A_p = V/K, never on V, and decides integrability on

@@ -192,10 +192,9 @@ def fiber_restriction(sys: PfaffianSystem, y: LineDirection, base) -> FuchsianOD
     items = sorted(fp.points.items(), key=lambda kv: (kv[1], kv[0]))
     poles = tuple(to_complex(q) for _, q in items)
     labels = tuple(lbl for lbl, _ in items)
+    d = sys.dim_e
     residues = tuple(
-        np.array([[to_complex(x) for x in r] for r in sys.residues[lbl]], dtype=complex).reshape(
-            sys.dim_e, sys.dim_e
-        )
+        np.array([[to_complex(x) for x in r] for r in sys.residues[lbl]], dtype=complex).reshape(d, d)
         for lbl in labels
     )
-    return FuchsianODE(poles, residues, labels, standard_basepoint(poles), sys.dim_e)
+    return FuchsianODE(poles, residues, labels, standard_basepoint(poles), d)
