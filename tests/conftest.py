@@ -299,6 +299,14 @@ def random_arrangement_with_parallels(rng: random.Random, dim: int) -> Arrangeme
     return Arrangement.make(dim, hs)
 
 
+def reference_containing(flat: Flat, arr: Arrangement) -> frozenset[str]:
+    """Labels of the hyperplanes containing ``flat``, by one rank of the
+    stacked equations each: the reference for ``Flat.containing``."""
+    return frozenset(
+        h.label for h in arr.hyperplanes if rank(flat.rows + (h.equation_row(),)) == flat.rank
+    )
+
+
 def contains_flat(upper: Flat, lower: Flat) -> bool:
     """True iff ``lower`` is a subset of ``upper`` (both nonempty), by one
     rank of the stacked equations: the reference for the covers, which the

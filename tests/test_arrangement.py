@@ -35,6 +35,7 @@ from conftest import (
     nongood_pair,
     random_arrangement,
     random_arrangement_with_parallels,
+    reference_containing,
     reference_coordinates,
     reference_forms,
     reference_shift,
@@ -142,6 +143,24 @@ def test_poset_matches_brute_force_random():
         poset = build_intersection_poset(arr)
         got = {f.rows for f in poset.flats()}
         assert got == brute_force_poset(arr)
+
+
+def test_containing_matches_the_rank_reference_random():
+    """Every flat's containing set against one rank per hyperplane, on
+    random arrangements in C^1 to C^4: small coefficients give many
+    coincidences, and every third arrangement has parallel families."""
+    rng = random.Random(2023)
+    flats = 0
+    for trial in range(300):
+        dim = 1 + trial % 4
+        if trial % 3 == 0:
+            arr = random_arrangement_with_parallels(rng, dim)
+        else:
+            arr = random_arrangement(rng, dim, rng.randint(1, 8 - dim))
+        for f in arr.poset.flats():
+            assert f.containing == reference_containing(f, arr)
+            flats += 1
+    assert flats >= 3000, flats
 
 
 def test_cover_relations_are_inclusions():
