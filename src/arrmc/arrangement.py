@@ -5,7 +5,9 @@ seen along a line direction (``AlongLine``: the parallel/transverse split,
 the coordinates along the line, the shifts X + Y and the convolution's
 arrangement enlarged by them, all in closed form with no elimination),
 good-line detection, cone/decone and fiber points.  All data is rational and
-canonicalized, so equality of hyperplanes and flats is syntactic.
+canonicalized, so equality of hyperplanes and flats is syntactic.  Each
+hyperplane and flat keeps its rows scaled to integers, once converted, and
+the poset build eliminates on those.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalError
-from .linalg import Matrix, Vector, dot, frac, nullspace, rank, rref, vec
+from .linalg import Matrix, Vector, dot, echelon, frac, integer_rows, integer_rref, nullspace, vec
 
 
 def _canonical_form(coeffs: Vector, constant: Fraction) -> tuple[Vector, Fraction]:
@@ -60,6 +62,11 @@ class Hyperplane:
     def equation_row(self) -> Vector:
         """Augmented row (coeffs | rhs) of the equation ``coeffs . x = -constant``."""
         return self.coeffs + (-self.constant,)
+
+    @cached_property
+    def integer_row(self) -> list[int]:
+        """``equation_row`` scaled to integers, converted once and kept."""
+        return integer_rows((self.equation_row(),))[0]
 
 
 @dataclass(frozen=True)
@@ -155,17 +162,20 @@ class Flat:
             return nullspace((), self.ambient_dim)
         return nullspace(self.coefficient_rows())
 
+    @cached_property
+    def integer_rows(self) -> list[list[int]]:
+        return integer_rows(self.rows)
+
     def contains_hyperplane_locus(self, h: Hyperplane) -> bool:
-        """True iff the flat is contained in the hyperplane ``h``."""
-        stacked = self.rows + (h.equation_row(),)
-        return rank(stacked) == self.rank
+        """True iff the flat lies in ``h``: its equation adds no pivot."""
+        return len(echelon(self.integer_rows + [h.integer_row])[1]) == self.rank
 
 
-def _flat_from_augmented(arr: Arrangement, rows: Matrix) -> Flat | None:
-    """Canonicalize an augmented system, with the hyperplanes of ``arr``
-    containing its solution set; None when inconsistent (empty flat)."""
+def _flat_from_augmented(arr: Arrangement, flat: Flat, h: Hyperplane) -> Flat | None:
+    """The intersection of ``flat`` and ``h`` in canonical form, with the
+    hyperplanes of ``arr`` containing it; None when it is empty."""
     dim = arr.ambient_dim
-    red, pivots = rref(rows)
+    red, pivots = integer_rref(flat.integer_rows + [h.integer_row])
     if dim in pivots:
         return None
     flat = Flat(dim, red, frozenset())
@@ -215,7 +225,7 @@ def build_intersection_poset(arr: Arrangement) -> IntersectionPoset:
         nxt: dict[Matrix, Flat] = {}
         for flat in frontier:
             for h in arr.hyperplanes:
-                cand = _flat_from_augmented(arr, flat.rows + (h.equation_row(),))
+                cand = _flat_from_augmented(arr, flat, h)
                 if cand is None or cand.rank == flat.rank:
                     continue
                 if cand.rows not in seen and cand.rows not in nxt:

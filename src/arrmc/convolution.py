@@ -30,17 +30,17 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
-    _echelon,
-    _integer_nonzero_rows,
-    _integer_rows,
-    _mul_nonzero,
-    _nonzero_rows,
+    echelon,
     identity,
+    integer_nonzero_rows,
+    integer_rows,
     invariant_projection,
     invertible_intertwiner,
     mat_add,
     mat_mul,
     mat_scale,
+    mul_nonzero,
+    nonzero_rows,
     rank,
     row_and_null_space,
     rref,
@@ -126,7 +126,7 @@ def _accumulate(
     pos = {lbl: p for p, lbl in enumerate(order)}
     offsets = list(accumulate(map(len, left), initial=0))
     width = len(order) * d
-    integer = {lbl: _integer_nonzero_rows(m) for lbl, m in sys.residues.items()}
+    integer = {lbl: integer_nonzero_rows(m) for lbl, m in sys.residues.items()}
     acc: dict[str, list[list[Fraction]]] = {}
 
     def add(target: str, p: int, q: int, m: Matrix, negate: bool = False) -> None:
@@ -140,7 +140,7 @@ def _accumulate(
     @cache
     def product(p: int, lbl: str) -> Matrix:
         den, rows = integer[lbl]
-        num = _mul_nonzero(left[p], rows, d, zero=0)
+        num = mul_nonzero(left[p], rows, d, zero=0)
         return tuple(tuple(Fraction(x, den) for x in r) for r in num)
 
     for p, lbl in enumerate(order):
@@ -205,29 +205,29 @@ def middle_convolve_with_kernel_dims(
         convolve(sys, y, lam, require_good)
     blocks, diagonal = residue_kernels(sys, y, lam)
     n, d = len(blocks), sys.dim_e
-    phis = [_integer_rows(red) for red, _ in blocks]
+    phis = [integer_rows(red) for red, _ in blocks]
     merged, residues = _accumulate(sys, y, lam, phis, require_good)
     # the rows of phi M that are not zero (a transverse residue has r_p of
     # them) and the kernel vectors, each scaled to integers
-    live = [_integer_rows([r for r in m if any(r)]) for m in residues.values()]
+    live = [integer_rows([r for r in m if any(r)]) for m in residues.values()]
     for q, (_, ker) in enumerate(blocks):
-        ker_rows = _nonzero_rows(transpose(_integer_rows(ker)))
+        ker_rows = nonzero_rows(transpose(integer_rows(ker)))
         for m in live:
-            on_ker = _mul_nonzero([r[q * d:(q + 1) * d] for r in m], ker_rows, len(ker), zero=0)
+            on_ker = mul_nonzero([r[q * d:(q + 1) * d] for r in m], ker_rows, len(ker), zero=0)
             if any(map(any, on_ker)):
                 raise InternalError("blockwise kernel is not invariant; quotient ill-defined")
 
     ell = len(diagonal)
-    diag_cols = _nonzero_rows(transpose(diagonal))
+    diag_cols = nonzero_rows(transpose(diagonal))
     # the rows of [phi(L) | phi(e_0) ... phi(e_(nd-1))]; its pivot columns
     # are the greedy choice, phi(L) first
     zero = (Fraction(0),)
     spans = [
         l_row + zero * (p * d) + tuple(r) + zero * ((n - 1 - p) * d)
         for p, phi in enumerate(phis)
-        for l_row, r in zip(_mul_nonzero(phi, diag_cols, ell), phi)
+        for l_row, r in zip(mul_nonzero(phi, diag_cols, ell), phi)
     ]
-    pivots = _echelon(_integer_rows(spans))[1]
+    pivots = echelon(integer_rows(spans))[1]
     if pivots[:ell] != list(range(ell)):
         raise InternalError("blockwise and diagonal kernels intersect nontrivially")
     comp = [j - ell for j in pivots[ell:]]
@@ -239,7 +239,7 @@ def middle_convolve_with_kernel_dims(
     for lbl, m in residues.items():
         if ell:
             folded = tuple(tuple(sum(x for x in r[i::d] if x) for i in range(d)) for r in m)
-            if any(map(any, mat_mul(inverse, _mul_nonzero(folded, diag_cols, ell)))):
+            if any(map(any, mat_mul(inverse, mul_nonzero(folded, diag_cols, ell)))):
                 raise InternalError("diagonal kernel is not invariant; quotient ill-defined")
         out[lbl] = mat_mul(inverse, tuple(tuple(r[c] for c in comp) for r in m))
     kdim = sum(len(ker) for _, ker in blocks)

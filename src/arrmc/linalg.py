@@ -6,15 +6,16 @@ of coefficients in increasing degree order (the zero polynomial is the
 empty tuple).  Everything here is exact; ``to_complex`` is the one way out
 to floating point, and it refuses a value that no float can hold.
 
-Row reduction runs on integers.  ``_integer_rows`` scales each row by the
-lcm of its denominators, which keeps the row space, and ``_echelon``
+Row reduction runs on integers.  ``integer_rows`` scales each row by the
+lcm of its denominators, which keeps the row space, and ``echelon``
 eliminates fraction-free: a row is cross-multiplied against the pivot row
 by cofactors of their gcd, then divided by its content, the gcd of its
 entries, so the integers stay small.  ``rank`` counts the pivots of that
-echelon form and builds no ``Fraction``; ``rref`` back-substitutes on the
-integer rows and makes ``Fraction`` entries only for its output.  Both
-choose pivots left to right, and the reduced form is unique, so callers
-see the canonical rows over Q.
+echelon form and builds no ``Fraction``; ``integer_rref`` back-substitutes
+and makes ``Fraction`` entries only for its output.  Both choose pivots
+left to right, and the reduced form is unique, so callers see the canonical
+rows over Q.  No row is changed in place, so a caller may keep integer rows
+and eliminate on them again, as the intersection poset does.
 
 Every exact decision reuses that elimination, each in one function.
 A d x d matrix is nonsingular iff its ``rank`` is d; there is no
@@ -24,7 +25,7 @@ Pi along span(cols) off the one rref of ``_reduced_span`` and checks
 Pi M cols = 0, the invariance of the kernels of ``convolution.convolve``;
 ``quotient`` presents Pi M on the complement, with no change of basis and
 no inverse.  The middle convolution needs neither: it runs on the residue
-images, and takes its products there in integers (``_mul_nonzero`` with
+images, and takes its products there in integers (``mul_nonzero`` with
 ``zero=0``).  ``invertible_intertwiner`` is the exact isomorphism search:
 an invertible element of the intertwiner space, found by ``rank``.
 """
@@ -107,16 +108,16 @@ def mat_scale(a: Matrix, s: Fraction) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product skipping zero entries: convolution residues and changes of
     basis are mostly zero."""
-    return _mul_nonzero(a, _nonzero_rows(b), len(b[0]) if b else 0)
+    return mul_nonzero(a, nonzero_rows(b), len(b[0]) if b else 0)
 
 
-def _nonzero_rows(b: Matrix) -> list[list[tuple[int, Fraction]]]:
+def nonzero_rows(b: Matrix) -> list[list[tuple[int, Fraction]]]:
     """(column, entry) of the nonzero entries of each row of ``b``."""
     return [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
 
 
-def _mul_nonzero(a: Matrix, b_nonzero, ncols: int, zero=Fraction(0)) -> Matrix:
-    """a times the ``ncols``-column matrix whose rows ``_nonzero_rows`` gave;
+def mul_nonzero(a: Matrix, b_nonzero, ncols: int, zero=Fraction(0)) -> Matrix:
+    """a times the ``ncols``-column matrix whose rows ``nonzero_rows`` gave;
     ``zero=0`` multiplies integer matrices in integers."""
     out = []
     for ra in a:
@@ -133,13 +134,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
 
-def from_columns(cols, nrows: int | None = None) -> Matrix:
-    cols = list(cols)
-    if not cols:
-        return zeros(nrows or 0, 0)
-    return transpose(tuple(cols))
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
@@ -148,14 +142,14 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for r in m for x in r)
 
 
-def _integer_nonzero_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The lcm D of the denominators of ``m``, and the ``_nonzero_rows`` of
+def integer_nonzero_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The lcm D of the denominators of ``m``, and the ``nonzero_rows`` of
     the integer matrix D m."""
     den = lcm(*[x.denominator for r in m for x in r])
     return den, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x] for r in m]
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
+def integer_rows(m: Matrix) -> list[list[int]]:
     """Each row times the lcm of its denominators: the same row space with
     plain int entries."""
     out = []
@@ -178,12 +172,12 @@ def _reduce(row: list[int], prow: list[int], col: int) -> list[int]:
     return new
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Row echelon form of integer rows, zero rows dropped, and its pivots.
 
     Pivots are chosen left to right, the first remaining row nonzero in a
     column being its pivot row; only rows nonzero in the pivot column are
-    touched.  Works in place on ``rows``.
+    touched.  Reorders the list ``rows`` but changes no row in place.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
@@ -213,7 +207,12 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Pivots are chosen left to right, so the result is the canonical form
     used for flat equality throughout the package.
     """
-    rows, pivots = _echelon(_integer_rows(m))
+    return integer_rref(integer_rows(m))
+
+
+def integer_rref(rows: list[list[int]]) -> tuple[Matrix, tuple[int, ...]]:
+    """``rref`` of integer ``rows``; like ``echelon``, changes no row in place."""
+    rows, pivots = echelon(rows)
     for k in range(len(rows) - 1, 0, -1):
         pc = pivots[k]
         for i in range(k):
@@ -228,7 +227,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_integer_rows(m))[1])
+    return len(echelon(integer_rows(m))[1])
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
@@ -321,9 +320,9 @@ def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
     growing, at most ``dim`` rounds of one integer elimination each; A is
     scaled by the lcm of its denominators, which keeps every O A.
     """
-    a_int = _integer_nonzero_rows(mats[idx])[1]
+    a_int = integer_nonzero_rows(mats[idx])[1]
     others = tuple(r for j, m in enumerate(mats) if j != idx for r in m)
-    obs, _ = _echelon(_integer_rows(others))
+    obs, _ = echelon(integer_rows(others))
     while len(obs) < dim:
         images = []
         for row in obs:
@@ -333,7 +332,7 @@ def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
                     for j, y in arow:
                         acc[j] += x * y
             images.append(acc)
-        grown, _ = _echelon(obs + images)
+        grown, _ = echelon(obs + images)
         if len(grown) == len(obs):
             return False
         obs = grown
@@ -414,16 +413,6 @@ def _reduced_span(cols: list[Vector], dim: int) -> tuple[Matrix, list[int], list
     return basis, skipped, [j for j in range(dim) if j not in taken]
 
 
-def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors completing the independent
-    ``cols`` to a basis.
-
-    Greedy in index order; deterministic: e_j is chosen exactly when it does
-    not lie in the span of ``cols`` and e_0, ..., e_(j-1).
-    """
-    return _reduced_span(cols, dim)[2]
-
-
 def invariant_projection(
     mats: list[Matrix], cols: list[Vector], dim: int, what: str
 ) -> tuple[list[int], Matrix]:
@@ -431,7 +420,8 @@ def invariant_projection(
     span(cols) onto it, once every dim x dim M is checked to leave span(cols)
     invariant.
 
-    C holds the standard basis vectors that ``extend_to_basis`` chooses.
+    C holds the standard basis vectors e_j that do not lie in the span of
+    ``cols`` and e_0, ..., e_(j-1), in index order.
     With B the reduced basis of span(cols), the identity on the skipped
     coordinates S, the class of v has coordinates v[C] - B[C,:] v[S]; that
     projection Pi is [1 on C | -B[C,:] on S], and its kernel is span(cols).
@@ -450,9 +440,9 @@ def invariant_projection(
         proj.append(tuple(row))
     proj = tuple(proj)
     if cols and comp:
-        span = _nonzero_rows(transpose(tuple(cols)))
+        span = nonzero_rows(transpose(tuple(cols)))
         for m in mats:
-            if not is_zero_matrix(mat_mul(proj, _mul_nonzero(m, span, len(cols)))):
+            if not is_zero_matrix(mat_mul(proj, mul_nonzero(m, span, len(cols)))):
                 raise InternalError(f"{what} is not invariant; quotient ill-defined")
     return comp, proj
 

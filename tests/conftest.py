@@ -18,9 +18,8 @@ from arrmc.errors import InternalError
 from arrmc.linalg import (
     Matrix,
     Vector,
+    _reduced_span,
     dot,
-    extend_to_basis,
-    from_columns,
     identity,
     mat,
     mat_mul,
@@ -29,6 +28,7 @@ from arrmc.linalg import (
     rank,
     rref,
     transpose,
+    zeros,
 )
 
 Y_AXIS = LineDirection.make([0, 1])
@@ -112,6 +112,25 @@ def kz_system(scale=F(1, 2), outer=F(1, 3)) -> PfaffianSystem:
     return PfaffianSystem.make(
         four_lines(), 2, {"x": a_x, "y": a_y, "d": a_d, "x1": a_x1}
     )
+
+
+def from_columns(cols, nrows: int | None = None) -> Matrix:
+    """The matrix with columns ``cols``; ``nrows`` rows when there is none."""
+    cols = list(cols)
+    if not cols:
+        return zeros(nrows or 0, 0)
+    return transpose(tuple(cols))
+
+
+def extend_to_basis(cols: list[Vector], dim: int) -> list[int]:
+    """Indices of standard basis vectors completing the independent
+    ``cols`` to a basis: the complement that ``invariant_projection``
+    chooses.
+
+    Greedy in index order; deterministic: e_j is chosen exactly when it does
+    not lie in the span of ``cols`` and e_0, ..., e_(j-1).
+    """
+    return _reduced_span(cols, dim)[2]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -20,8 +20,8 @@ from arrmc import (
     is_good_line,
     middle_convolve,
 )
-from arrmc import arrangement, serialization
-from arrmc.linalg import mat, rank
+from arrmc import arrangement, linalg, serialization
+from arrmc.linalg import integer_rref, mat, rank, rref, vec
 
 from conftest import (
     Y_AXIS,
@@ -148,7 +148,8 @@ def test_poset_matches_brute_force_random():
 def test_containing_matches_the_rank_reference_random():
     """Every flat's containing set against one rank per hyperplane, on
     random arrangements in C^1 to C^4: small coefficients give many
-    coincidences, and every third arrangement has parallel families."""
+    coincidences, and every third arrangement has parallel families.  The
+    kept integer rows of flats and hyperplanes span the canonical rows."""
     rng = random.Random(2023)
     flats = 0
     for trial in range(300):
@@ -157,10 +158,33 @@ def test_containing_matches_the_rank_reference_random():
             arr = random_arrangement_with_parallels(rng, dim)
         else:
             arr = random_arrangement(rng, dim, rng.randint(1, 8 - dim))
+        for h in arr.hyperplanes:
+            assert all(type(c) is int for c in h.integer_row)
+            assert rref((vec(h.integer_row),))[0] == (h.equation_row(),)
         for f in arr.poset.flats():
             assert f.containing == reference_containing(f, arr)
+            assert integer_rref(f.integer_rows)[0] == f.rows
             flats += 1
     assert flats >= 3000, flats
+
+
+def test_poset_build_eliminates_no_fraction_rows(monkeypatch):
+    """The poset build eliminates only on kept integer rows: ``rank`` and
+    ``rref``, which convert ``Fraction`` rows, are never called."""
+
+    def refuse(m, *args):
+        raise AssertionError("the poset build converted Fraction rows")
+
+    converting = (linalg.rank, linalg.rref)
+    for module in (linalg, arrangement):
+        for name, obj in list(vars(module).items()):
+            if any(obj is f for f in converting):
+                monkeypatch.setattr(module, name, refuse)
+    arr = random_arrangement(random.Random(8), 3, 8)
+    assert len(arr) == 8
+    got = {f.rows for f in build_intersection_poset(arr).flats()}
+    monkeypatch.undo()
+    assert got == brute_force_poset(arr)
 
 
 def test_cover_relations_are_inclusions():

@@ -10,9 +10,7 @@ from arrmc import ConvolutionParameter, convolve
 from arrmc.errors import InternalError
 from arrmc.linalg import (
     charpoly,
-    extend_to_basis,
     find_invertible_combination,
-    from_columns,
     identity,
     integer_eigenvalues,
     intertwiner_space,
@@ -36,7 +34,16 @@ from arrmc.linalg import (
     zeros,
 )
 
-from conftest import X_AXIS_1D, assert_invariant, composition_corpus, det, line_system, mat_inverse
+from conftest import (
+    X_AXIS_1D,
+    assert_invariant,
+    composition_corpus,
+    det,
+    extend_to_basis,
+    from_columns,
+    line_system,
+    mat_inverse,
+)
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
