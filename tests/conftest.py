@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 from fractions import Fraction as F
 
 from arrmc import (
@@ -14,6 +15,7 @@ from arrmc import (
     convolve,
 )
 from arrmc.arrangement import Flat
+from arrmc.cli import main
 from arrmc.errors import InternalError
 from arrmc.linalg import (
     Matrix,
@@ -112,6 +114,29 @@ def kz_system(scale=F(1, 2), outer=F(1, 3)) -> PfaffianSystem:
     return PfaffianSystem.make(
         four_lines(), 2, {"x": a_x, "y": a_y, "d": a_d, "x1": a_x1}
     )
+
+
+class OutOfTime(BaseException):
+    """Raised by the alarm of ``main_within``: a BaseException, so no
+    handler inside the program can swallow it."""
+
+
+def main_within(argv, seconds: float) -> int | None:
+    """``cli.main(argv)`` in-process under a ``SIGALRM`` limit, as the
+    benchmark runs a job: its exit code, or None when it ran out of time."""
+
+    def alarm(signum, frame):
+        raise OutOfTime
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(list(argv))
+    except OutOfTime:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def from_columns(cols, nrows: int | None = None) -> Matrix:

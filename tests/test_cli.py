@@ -10,7 +10,7 @@ from arrmc import serialization as ser
 from arrmc.cli import _build_parser, main
 from arrmc.katz import MonodromyTuple
 
-from conftest import four_lines, four_lines_system, kz_system
+from conftest import four_lines, four_lines_system, kz_system, main_within
 
 CORPUS = Path(
     os.environ.get("ARRMC_CORPUS_DIR", Path(__file__).parent / "corpus")
@@ -636,6 +636,31 @@ def _four_lines_system_with_residue(d: str) -> dict:
     data = json.loads(Path(corpus("four_lines_system.json")).read_text(encoding="utf-8"))
     data["residues"]["d"] = [[d]]
     return data
+
+
+LARGE_ENTRY = 10**30 + 57
+
+
+def test_cli_check_of_a_large_integer_residue_finishes(capsys, tmp_path):
+    # a 31-digit integer eigenvalue: the divisor search of its constant term
+    # did not finish
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_four_lines_system_with_residue(str(LARGE_ENTRY))), encoding="utf-8")
+    code = main_within(["check", str(path), "--line", "0,1", "--lambda", "1/5"], 10.0)
+    assert code == 1, "check did not finish within 10 s" if code is None else code
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["genericity"]["offenders"] == [["d", LARGE_ENTRY]]
+
+
+def test_cli_rh_verify_of_a_residue_beyond_the_float_range_stops_at_genericity(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_four_lines_system_with_residue("1e400")), encoding="utf-8")
+    argv = ["rh-verify", str(path), "--line", "0,1", "--lambda", "1/5", "--base", "2"]
+    code = main_within(argv, 10.0)
+    assert code == 1, "rh-verify did not finish within 10 s" if code is None else code
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["stages"] == {"integrable": True, "genericity_ok": False, "star_ok": True}
+    assert rep["offenders"]["genericity"] == [["d", 10**400]]
 
 
 @pytest.mark.parametrize(
