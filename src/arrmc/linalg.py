@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of row tuples of ``fractions.Fraction``; the
-characteristic polynomials read by the integer eigenvalue search are tuples
-of coefficients in increasing degree order (the zero polynomial is the
-empty tuple).  Everything here is exact; ``to_complex`` is the one way out
-to floating point, and it refuses a value that no float can hold.
+Matrices are immutable tuples of row tuples of ``fractions.Fraction``.
+Everything here is exact; ``to_complex`` is the one way out to floating
+point, and it refuses a value that no float can hold.
 
 Row reduction runs on integers.  ``integer_rows`` scales each row by the
 lcm of its denominators, which keeps the row space, and ``echelon``
@@ -28,18 +26,21 @@ no inverse.  The middle convolution needs neither: it runs on the residue
 images, and takes its products there in integers (``mul_nonzero`` with
 ``zero=0``).  ``invertible_intertwiner`` is the exact isomorphism search:
 an invertible element of the intertwiner space, found by ``rank``.
+``integer_eigenvalues`` takes its candidates from the characteristic
+polynomial modulo primes and keeps each one that ``echelon`` finds
+singular; no polynomial over Q is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, InternalError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-Poly = tuple[Fraction, ...]
 
 
 def frac(x) -> Fraction:
@@ -256,48 +257,6 @@ def row_and_null_space(m: Matrix, ncols: int | None = None) -> tuple[Matrix, lis
     return red, basis
 
 
-def charpoly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial, coefficients low to high degree.
-
-    Faddeev-LeVerrier recursion; exact over the rationals.
-    """
-    n = len(m)
-    if n == 0:
-        return (Fraction(1),)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = m
-    for k in range(1, n + 1):
-        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = mat_mul(m, mat_add(mk, mat_scale(identity(n), ck)))
-    return tuple(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in one variable, coefficients low -> high
-
-
-def poly_trim(p) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def poly_degree(p: Poly) -> int:
-    """Degree; the zero polynomial gets -1."""
-    return len(poly_trim(p)) - 1
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # joint kernels and the eigenvector test on them
 
@@ -343,51 +302,82 @@ def kernel_pencil_ok(mats: list[Matrix], idx: int, dim: int) -> bool:
 # integer eigenvalue detection
 
 
-def _divisors_up_to(n: int, bound: int) -> list[int]:
-    """Positive divisors of n up to bound.  Trial division up to
-    min(bound, isqrt(n)) is complete: a divisor above isqrt(n) is found
-    through its cofactor, which lies below isqrt(n)."""
-    n = abs(n)
-    out = set()
-    for d in range(1, min(bound, isqrt(n)) + 1):
-        if n % d == 0:
-            out.add(d)
-            if n // d <= bound:
-                out.add(n // d)
-    return sorted(out)
+def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+    """det(x Id - B) modulo p for the integer rows B, coefficients low to
+    high degree: B is brought to Hessenberg form H by similarity, and the
+    polynomial P_k of the leading k x k block of H follows from the smaller
+    ones (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).  O(d^3) operations on residues."""
+    n = len(rows)
+    h = [[x % p for x in r] for r in rows]
+    for c in range(n - 2):
+        i = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if i is None:
+            continue
+        h[c + 1], h[i] = h[i], h[c + 1]
+        for r in h:
+            r[c + 1], r[i] = r[i], r[c + 1]
+        piv, inv = h[c + 1], pow(h[c + 1][c], -1, p)
+        for i in range(c + 2, n):
+            u = h[i][c] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], piv)]
+                for r in h:
+                    r[c + 1] = (r[c + 1] + u * r[i]) % p
+    polys = [[1]]
+    for k in range(n):
+        # P_(k+1) = x P_k - sum over i <= k of h[i][k] h[k][k-1] ... h[i+1][i] P_i
+        out, t = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            f = h[i][k] * t % p
+            if f:
+                for j, a in enumerate(polys[i]):
+                    out[j] = (out[j] - f * a) % p
+            t = t * h[i][i - 1] % p
+        polys.append(out)
+    return polys[n]
+
+
+def _eval_mod(poly: list[int], x: int, p: int) -> int:
+    out = 0
+    for a in reversed(poly):
+        out = (out * x + a) % p
+    return out
 
 
 def integer_eigenvalues(m: Matrix) -> list[int]:
-    """All integer eigenvalues of ``m``, zero included, exactly.
+    """All integer eigenvalues of ``m``, zero included, exactly, in
+    increasing order.
 
-    Candidates are capped by the Cauchy bound 1 + max |coefficient| of the
-    monic characteristic polynomial and pre-filtered by the rational root
-    theorem (integer roots divide the cleared constant term), searched no
-    further than the smaller of the bound and the square root of that term;
-    each survivor is confirmed by evaluating the characteristic polynomial,
-    i.e. by the exact singularity of m - k*Id.
+    With D the lcm of the denominators of m and B = D m, an integer
+    eigenvalue k makes Dk a root of the monic integer polynomial
+    det(x Id - B), so a root modulo every prime, and |k| <= b, the largest
+    absolute row sum of m rounded down.  Its residues modulo the primes
+    p > 4096 that do not divide D are found by testing every residue (only
+    the integers of [-b, b] when 2b < p, the usual case of one prime), and
+    combined by the Chinese remainder theorem until their modulus M exceeds
+    2b, which fixes k.  Each candidate in [-b, b] is kept iff B - Dk Id is
+    singular, by ``echelon``.
     """
-    p = charpoly(m)
-    if len(p) == 1:
-        return []
-    found = []
-    work = poly_trim(p)
-    zero_mult = 0
-    while work and work[0] == 0:
-        zero_mult += 1
-        work = work[1:]
-    if zero_mult:
-        found.append(0)
-    if poly_degree(work) < 1:
-        return found
-    bound = 1 + max(abs(c) for c in work[:-1])
-    kmax = int(bound)
-    const = int(work[0] * lcm(*[c.denominator for c in work]))
-    for k in _divisors_up_to(const, kmax):
-        for s in (k, -k):
-            if poly_eval(p, Fraction(s)) == 0:
-                found.append(s)
-    return sorted(found)
+    d = len(m)
+    den = lcm(*[x.denominator for r in m for x in r])
+    rows = [[x.numerator * (den // x.denominator) for x in r] for r in m]
+    bound = max((sum(map(abs, r)) for r in rows), default=0) // den
+    modulus, residues, p = 1, [0], 4096
+    while modulus <= 2 * bound:
+        p = next(q for q in count(p + 1) if den % q and all(q % f for f in range(2, isqrt(q) + 1)))
+        poly = _charpoly_mod(rows, p)
+        tested = range(-bound, bound + 1) if 2 * bound < p else range(p)
+        roots = sorted({k % p for k in tested if _eval_mod(poly, den * k, p) == 0})
+        step = pow(modulus, -1, p)
+        residues = [a + modulus * ((r - a) * step % p) for a in residues for r in roots]
+        modulus *= p
+    candidates = sorted(a if 2 * a <= modulus else a - modulus for a in residues)
+    return [
+        k for k in candidates
+        if abs(k) <= bound
+        and len(echelon([[x - den * k if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)])[1]) < d
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from arrmc.linalg import (
     dot,
     identity,
     mat,
+    mat_add,
     mat_mul,
+    mat_scale,
     nullspace,
     quotient,
     rank,
@@ -169,6 +171,47 @@ def in_span(v: Vector, cols: list[Vector]) -> bool:
         return False
     base = tuple(cols)
     return rank(base) == rank(base + (v,))
+
+
+def charpoly(m: Matrix) -> tuple[F, ...]:
+    """Monic characteristic polynomial, coefficients low to high degree, by
+    the Faddeev-LeVerrier recursion, exact over the rationals: the reference
+    for the residues modulo primes that ``integer_eigenvalues`` reads."""
+    n = len(m)
+    if n == 0:
+        return (F(1),)
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    mk = m
+    for k in range(1, n + 1):
+        ck = -sum((mk[i][i] for i in range(n)), F(0)) / k
+        coeffs[n - k] = ck
+        if k < n:
+            mk = mat_mul(m, mat_add(mk, mat_scale(identity(n), ck)))
+    return tuple(coeffs)
+
+
+# polynomials in one variable, coefficients low -> high; the zero polynomial
+# is the empty tuple
+
+
+def poly_trim(p) -> tuple[F, ...]:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def poly_degree(p) -> int:
+    """Degree; the zero polynomial gets -1."""
+    return len(poly_trim(p)) - 1
+
+
+def poly_eval(p, x: F) -> F:
+    out = F(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
 
 
 def det(m: Matrix) -> F:

@@ -3,13 +3,13 @@ import random
 import signal
 from fractions import Fraction as F
 from functools import reduce
+from math import isqrt, lcm
 
 import pytest
 
 from arrmc import ConvolutionParameter, convolve
 from arrmc.errors import InternalError
 from arrmc.linalg import (
-    charpoly,
     find_invertible_combination,
     identity,
     integer_eigenvalues,
@@ -24,9 +24,6 @@ from arrmc.linalg import (
     mat_scale,
     mat_sub,
     nullspace,
-    poly_degree,
-    poly_eval,
-    poly_trim,
     quotient,
     rank,
     rref,
@@ -37,12 +34,16 @@ from arrmc.linalg import (
 from conftest import (
     X_AXIS_1D,
     assert_invariant,
+    charpoly,
     composition_corpus,
     det,
     extend_to_basis,
     from_columns,
     line_system,
     mat_inverse,
+    poly_degree,
+    poly_eval,
+    poly_trim,
 )
 
 
@@ -826,3 +827,131 @@ def test_integer_eigenvalues_vs_brute_force_on_rational_matrices():
         assert planted <= set(found)
         planted_total += len(planted)
     assert planted_total > 10
+
+
+def singular_integer_shifts(m) -> list[int]:
+    """Every integer k with m - k Id singular, by an exhaustive scan of
+    |k| <= ||m||_F, which bounds every eigenvalue; det(k Id - m) is the
+    reference characteristic polynomial, evaluated in integers."""
+    p = charpoly(m)
+    den = lcm(*[c.denominator for c in p])
+    coeffs = [int(c * den) for c in reversed(p)]
+    frobenius = sum((x * x for r in m for x in r), F(0))
+    r = isqrt(frobenius.numerator // frobenius.denominator) + 1
+    found = []
+    for k in range(-r, r + 1):
+        value = 0
+        for c in coeffs:
+            value = value * k + c
+        if value == 0:
+            found.append(k)
+    return found
+
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant 1, with an integer inverse."""
+    lower = tuple(tuple(F(1) if i == j else F(rng.randint(-1, 1)) if j < i else F(0) for j in range(n)) for i in range(n))
+    upper = tuple(tuple(F(1) if i == j else F(rng.randint(-1, 1)) if j > i else F(0) for j in range(n)) for i in range(n))
+    return mat_mul(lower, upper)
+
+
+def planted_spectrum(rng, n):
+    """P J P^-1 with P unimodular and J upper triangular: integer
+    eigenvalues of both signs, one of them twice (a Jordan block or not)
+    when n >= 2, and non-integer ones; returns it with its integer
+    eigenvalues."""
+    diag = [F(rng.randint(-6, 6)) if rng.random() < 0.6 else F(rng.randint(-20, 20), rng.randint(2, 9)) for _ in range(n)]
+    if n >= 2:
+        diag[1] = diag[0] = F(rng.choice([-1, 1]) * rng.randint(1, 6))
+    j_form = [[diag[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        j_form[i][i + 1] = F(rng.randint(0, 1)) if i == 0 else F(rng.randint(-3, 3), rng.randint(1, 4))
+    p = unimodular(rng, n)
+    m = mat_mul(p, mat_mul(tuple(map(tuple, j_form)), mat_inverse(p)))
+    return m, {int(x) for x in diag if x.denominator == 1}
+
+
+def test_integer_eigenvalues_equal_the_singular_shifts_on_fixed_seed_matrices():
+    rng = random.Random(25)
+    planted_signs = set()
+    doubles = 0
+    for case in range(1200):
+        n = case % 7
+        kind = case // 7 % 4
+        if kind == 0:
+            # denominators up to 10^6
+            m = tuple(
+                tuple(F(rng.randint(-5 * q, 5 * q), q) if rng.random() < 0.7 else F(0) for _ in range(n))
+                for q in [rng.choice([1, 2, 7, 720, 10**6]) for _ in range(n)]
+            )
+            planted = set()
+        elif kind == 1:
+            m, planted = planted_spectrum(rng, n)
+            planted_signs |= {k > 0 for k in planted if k}
+            doubles += n >= 2
+        elif kind == 2:
+            m = random_matrix(rng, n, -2, 2)
+            planted = set()
+        else:
+            # rank at most n - 1: 0 is an eigenvalue
+            r = max(n - 1, 0)
+            m = mat_mul(sparse_rational(rng, n, r, 0.3), sparse_rational(rng, r, n, 0.3)) if r else zeros(n, n)
+            planted = {0} if n else set()
+        found = integer_eigenvalues(m)
+        assert found == singular_integer_shifts(m), m
+        assert planted <= set(found)
+    assert planted_signs == {False, True} and doubles > 100
+
+
+BIG = 10**30 + 57
+DIAGONAL = (10**29 + 7, -(2 * 10**29) - 3, 3 * 10**29 + 11)
+
+
+@pytest.mark.parametrize(
+    "m, spectrum",
+    [
+        ([[BIG]], [BIG]),
+        ([["1e400"]], [10**400]),
+        ([[F(2 * BIG + 1, 2)]], []),
+        ([[0, 10**30], [1, 0]], [-(10**15), 10**15]),
+        ([[0, 10**30], [0, 0]], [0]),
+        ([[0, 10**30 + 1], [1, 0]], []),
+        ([[DIAGONAL[i] if i == j else 0 for j in range(3)] for i in range(3)], sorted(DIAGONAL)),
+        # the same spectrum, conjugated by a dense matrix of determinant 1
+        (
+            mat_mul(
+                mat([[1, 1, 0], [1, 2, 1], [0, 1, 2]]),
+                mat_mul(
+                    mat([[DIAGONAL[i] if i == j else 0 for j in range(3)] for i in range(3)]),
+                    mat([[3, -2, 1], [-2, 2, -1], [1, -1, 1]]),
+                ),
+            ),
+            sorted(DIAGONAL),
+        ),
+        # denominators divisible by the first prime used, 4099
+        ([[3, F(5, 2 * 4099)], [0, -2]], [-2, 3]),
+        ([[10**12 + 39, F(1, 4099)], [0, -(10**12) - 5]], [-(10**12) - 5, 10**12 + 39]),
+        ([[BIG, F(1, 4099)], [0, -BIG]], [-BIG, BIG]),
+    ],
+)
+def test_integer_eigenvalues_of_large_entries(m, spectrum):
+    assert integer_eigenvalues(mat(m)) == spectrum
+
+
+def test_integer_eigenvalues_skip_a_prime_that_divides_the_denominators(monkeypatch):
+    # modulo 4099, the scaled polynomial of a matrix with denominator 4099 is
+    # x^2 and every residue a root: used, that prime would multiply the
+    # candidates by 4099, each confirmed by one elimination
+    from arrmc import linalg
+
+    confirmations = []
+    echelon = linalg.echelon
+
+    def counting(rows):
+        confirmations.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    m = mat([[10**12 + 39, F(1, 4099)], [0, -(10**12) - 5]])
+    assert integer_eigenvalues(m) == [-(10**12) - 5, 10**12 + 39]
+    assert len(confirmations) <= 3
