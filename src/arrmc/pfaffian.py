@@ -95,9 +95,17 @@ class PfaffianSystem:
         of the arrangement."""
         return [(h.label, self.residues[h.label]) for h in self.arrangement.along(y).transverse]
 
+    @cached_property
+    def _sums(self) -> dict[LineDirection, Matrix]:
+        return {}
+
     def transverse_sum(self, y: LineDirection) -> Matrix:
-        residues = (m for _, m in self.transverse_residues(y))
-        return reduce(mat_add, residues, zeros(self.dim_e, self.dim_e))
+        """The sum of the transverse residues, formed on first use per
+        direction and kept."""
+        if y not in self._sums:
+            residues = [m for _, m in self.transverse_residues(y)] or [zeros(self.dim_e, self.dim_e)]
+            self._sums[y] = reduce(mat_add, residues)
+        return self._sums[y]
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,28 @@ def test_cli_rh_verify_does_exact_work_once(capsys, monkeypatch):
     assert len(calls["kernels"]) == 2 and calls["kernels"][1] is not calls["kernels"][0]
 
 
+def test_cli_rh_verify_sums_the_transverse_residues_once_per_system_and_line(capsys, monkeypatch):
+    from arrmc.pfaffian import PfaffianSystem
+
+    sums: dict = {}
+    original = PfaffianSystem.transverse_sum
+
+    def recording_sum(self, y):
+        out = original(self, y)
+        sums.setdefault((id(self), y), []).append(out)
+        return out
+
+    monkeypatch.setattr(PfaffianSystem, "transverse_sum", recording_sum)
+    code, rep = run_cli(
+        capsys, "rh-verify", corpus("four_lines_system.json"),
+        "--line", "0,1", "--lambda", "1/5", "--base", "2",
+    )
+    assert code == 0 and rep["ok"]
+    # genericity and the kernels of the input both read the input's sum
+    assert max(len(v) for v in sums.values()) >= 2
+    assert all(all(s is v[0] for s in v) for v in sums.values())
+
+
 def test_cli_rh_verify_builds_loop_geometry_once(capsys, monkeypatch):
     from arrmc import monodromy
 
