@@ -38,6 +38,8 @@ CASES = [
     ("nongood_arrangement.poset", "poset", "nongood_arrangement.json", [], 0),
     ("nongood_arrangement.goodline", "goodline", "nongood_arrangement.json", ["--line", "0,1"], 1),
     ("exact_tuple.katz-mc", "katz-mc", "exact_tuple.json", ["--scalar", "2"], 0),
+    # a residue with a 31-digit integer eigenvalue
+    ("large_entry_system.check", "check", "large_entry_system.json", SYSTEM_ARGS, 1),
 ]
 for _stem, _codes in (
     ("four_lines_system", (0, 0, 0, 0, 0)),
