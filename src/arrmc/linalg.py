@@ -329,11 +329,12 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
         # P_(k+1) = x P_k - sum over i <= k of h[i][k] h[k][k-1] ... h[i+1][i] P_i
         out, t = [0] + polys[k], 1
         for i in range(k, -1, -1):
+            if i < k:
+                t = t * h[i + 1][i] % p
             f = h[i][k] * t % p
             if f:
                 for j, a in enumerate(polys[i]):
                     out[j] = (out[j] - f * a) % p
-            t = t * h[i][i - 1] % p
         polys.append(out)
     return polys[n]
 
