@@ -664,8 +664,7 @@ LARGE_ENTRY = 10**30 + 57
 
 
 def test_cli_check_of_a_large_integer_residue_finishes(capsys, tmp_path):
-    # a 31-digit integer eigenvalue: the divisor search of its constant term
-    # did not finish
+    # a residue with a 31-digit integer eigenvalue
     path = tmp_path / "input.json"
     path.write_text(json.dumps(_four_lines_system_with_residue(str(LARGE_ENTRY))), encoding="utf-8")
     code = main_within(["check", str(path), "--line", "0,1", "--lambda", "1/5"], 10.0)
