@@ -46,7 +46,7 @@ TARGETS = [
     ("four_lines_system.json", ["rh-verify", *SYSTEM, "--base", "2"]),
 ]
 
-# ROADMAP item 15's list
+# a value of each JSON type, and edge cases of the rational format
 VALUES = [None, True, False, "", "1/0", "1e400", 10**30 + 57, float("nan"), [], {}, [[]], [[["1", "2"]]]]
 
 # values for a rational entry that keep most inputs readable
